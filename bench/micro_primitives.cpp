@@ -100,20 +100,22 @@ const dataset::LeafTable& sparseTable() {
   return kTable;
 }
 
-void BM_GroupByKernelDenseSweep(benchmark::State& state) {
-  // The seed baseline: zero-fill all 65536 cells, accumulate, sweep the
-  // whole dense array, allocate a fresh result vector.  O(cuboid_size)
-  // regardless of how few cells are live.
+void BM_GroupByKernelColdScratch(benchmark::State& state) {
+  // Baseline for the retained-scratch case below: a fresh scratch and
+  // output per call, so every call allocates and zero-fills all 65536
+  // dense cells again — the cost of a one-shot group-by.
   const auto& table = sparseTable();
   const dataset::GroupByKernel kernel(table);
   const auto mask = dataset::allAttributesMask(table.schema());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.groupBy(mask));
+    dataset::GroupByScratch scratch;
+    std::vector<dataset::CuboidGroup> out;
+    benchmark::DoNotOptimize(kernel.groupByInto(mask, scratch, out));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(table.size()));
 }
-BENCHMARK(BM_GroupByKernelDenseSweep);
+BENCHMARK(BM_GroupByKernelColdScratch);
 
 void BM_GroupByKernelWorkspace(benchmark::State& state) {
   // The allocation-free path: touched-key tracking + sort, resetting
@@ -122,7 +124,7 @@ void BM_GroupByKernelWorkspace(benchmark::State& state) {
   const auto& table = sparseTable();
   dataset::GroupByKernel kernel(table);
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::CuboidGroup> out;
   const auto mask = dataset::allAttributesMask(table.schema());
   kernel.groupByInto(mask, scratch, out);  // size the buffers once
   for (auto _ : state) {
@@ -137,11 +139,11 @@ void BM_GroupByKernelWorkspaceAllCuboids(benchmark::State& state) {
   // One full Algorithm-2-shaped pass: every cuboid of the lattice
   // through one retained workspace, the reuse pattern aggregateLayer
   // actually drives (alternating masks is what stresses the
-  // touched-cell reset and the output-slot rewriting).
+  // touched-cell reset).
   const auto& table = sparseTable();
   dataset::GroupByKernel kernel(table);
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::CuboidGroup> out;
   const auto cuboids = dataset::allCuboidsByLayer(
       dataset::allAttributesMask(table.schema()));
   for (const auto mask : cuboids) kernel.groupByInto(mask, scratch, out);
@@ -338,7 +340,7 @@ int assertZeroAlloc() {
   const auto& table = sparseTable();
   dataset::GroupByKernel kernel(table);
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::CuboidGroup> out;
   const auto cuboids = dataset::allCuboidsByLayer(
       dataset::allAttributesMask(table.schema()));
   // Warm-up: two full passes size every buffer for its worst cuboid.

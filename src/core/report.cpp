@@ -58,7 +58,7 @@ std::string renderReport(const dataset::Schema& schema,
     if (!result.stats.layers.empty()) {
       util::TextTable layers;
       layers.setHeader({"layer", "cuboids", "evaluated", "pruned",
-                        "candidates", "time", "aggregate"});
+                        "candidates", "time", "aggregate", "merge"});
       for (const auto& layer : result.stats.layers) {
         layers.addRow({std::to_string(layer.layer),
                        std::to_string(layer.cuboids_visited),
@@ -66,7 +66,9 @@ std::string renderReport(const dataset::Schema& schema,
                        std::to_string(layer.combinations_pruned),
                        std::to_string(layer.candidates_found),
                        util::TextTable::duration(layer.seconds),
-                       util::TextTable::duration(layer.seconds_aggregate)});
+                       util::TextTable::duration(layer.seconds_aggregate),
+                       util::TextTable::duration(layer.seconds -
+                                                 layer.seconds_aggregate)});
       }
       out += layers.render();
       if (result.stats.search_threads > 1) {

@@ -15,10 +15,8 @@
 
 namespace rap::core {
 
-using dataset::AttributeCombination;
+using dataset::CuboidGroup;
 using dataset::CuboidMask;
-using dataset::GroupAggregate;
-using dataset::GroupByKernel;
 using dataset::LeafTable;
 
 std::vector<CuboidMask> orderedCuboids(
@@ -65,7 +63,7 @@ namespace {
 /// Aggregates every cuboid of one layer concurrently: `pool` workers and
 /// the calling thread pull cuboid indices off a shared cursor (balanced
 /// even when cuboid sizes differ wildly) and write disjoint slots of
-/// `ws.layer_groups` / `ws.layer_counts` through per-worker scratches.
+/// `ws.layer_groups` through per-worker scratches.
 /// Returns the number of pool helpers actually enlisted (the layer used
 /// helpers + 1 threads), and only once every helper task has exited, so
 /// the borrowed stack state cannot dangle even if the caller early-stops
@@ -74,7 +72,6 @@ std::size_t aggregateLayer(const std::vector<CuboidMask>& cuboids,
                            util::ThreadPool& pool, SearchWorkspace& ws) {
   const std::size_t n = cuboids.size();
   if (ws.layer_groups.size() < n) ws.layer_groups.resize(n);
-  if (ws.layer_counts.size() < n) ws.layer_counts.resize(n);
   const std::size_t helpers = std::min(pool.threadCount(), n > 0 ? n - 1 : 0);
   if (ws.scratch.size() < helpers + 1) ws.scratch.resize(helpers + 1);
 
@@ -84,8 +81,7 @@ std::size_t aggregateLayer(const std::vector<CuboidMask>& cuboids,
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      ws.layer_counts[i] =
-          ws.kernel.groupByInto(cuboids[i], scratch, ws.layer_groups[i]);
+      ws.kernel.groupByInto(cuboids[i], scratch, ws.layer_groups[i]);
     }
   };
 
@@ -110,16 +106,67 @@ std::size_t aggregateLayer(const std::vector<CuboidMask>& cuboids,
   return helpers;
 }
 
+/// Criteria 3 probe setup for cuboid `mask`: ws.probe gets the bits of
+/// every accepted-cuboid slot whose cuboid is a strict subset of `mask`,
+/// trimmed after its last non-zero word (empty = nothing can prune).
+void prepareProbe(SearchWorkspace& ws, CuboidMask mask) {
+  ws.probe.clear();
+  for (std::size_t slot = 0; slot < ws.slot_masks.size(); ++slot) {
+    const CuboidMask s = ws.slot_masks[slot];
+    if (s == mask || (s & ~mask) != 0) continue;
+    const std::size_t word = slot / 64;
+    if (ws.probe.size() <= word) ws.probe.resize(word + 1, 0);
+    ws.probe[word] |= std::uint64_t{1} << (slot % 64);
+  }
+}
+
+/// True iff `row` lies under a candidate accepted in a cuboid the probe
+/// selected — for a group's representative row, exactly "some accepted
+/// candidate is a proper ancestor of the group".
+bool probeHits(const SearchWorkspace& ws, dataset::RowId row) {
+  for (std::size_t word = 0; word < ws.probe.size(); ++word) {
+    if ((ws.slot_bits[word][row] & ws.probe[word]) != 0) return true;
+  }
+  return false;
+}
+
+/// Gives cuboid `mask`, which just accepted the keys in ws.accepted_keys,
+/// the next slot and sets its bit on every row whose key (ws.row_keys)
+/// is one of them.
+void markAccepted(SearchWorkspace& ws, CuboidMask mask) {
+  const std::size_t slot = ws.slot_masks.size();
+  ws.slot_masks.push_back(mask);
+  const std::size_t word = slot / 64;
+  if (ws.slot_bits.size() <= word) ws.slot_bits.emplace_back();
+  std::vector<std::uint64_t>& bits = ws.slot_bits[word];
+  const std::size_t n = ws.row_keys.size();
+  if (slot % 64 == 0) bits.assign(n, 0);  // first slot of a fresh word
+  const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (std::binary_search(ws.accepted_keys.begin(), ws.accepted_keys.end(),
+                           ws.row_keys[r])) {
+      bits[r] |= bit;
+    }
+  }
+}
+
 /// Shared Algorithm 2 driver.  The two schedules differ only in how a
-/// layer's per-cuboid aggregates are produced: the serial path computes
+/// layer's per-cuboid groups are produced: the serial path aggregates
 /// them lazily inside the merge loop (so an early stop skips the rest of
 /// the layer entirely), the parallel path precomputes the whole layer via
 /// aggregateLayer and the merge then consumes the slots in canonical
 /// order.  Everything the result depends on — acceptance, pruning,
 /// early-stop, counters — happens in the single-threaded merge below, in
 /// the exact order of the serial reference, which is what makes the two
-/// schedules bit-identical.  All aggregation memory lives in `ws`, so a
-/// retained workspace makes the steady-state hot path allocation-free.
+/// schedules bit-identical.
+///
+/// The merge works on row keys, never on combinations (docs/algorithms.md,
+/// "Key-space merge"): Criteria 3 is a probe of the group's
+/// representative row against a per-row bitset of accepted-cuboid slots,
+/// and the early-stop coverage test compares row keys with the accepted
+/// key.  Combinations are built only for accepted candidates.  All
+/// memory lives in `ws`, so a retained workspace makes the steady state
+/// allocation-free apart from the returned candidates.
 std::vector<ScoredPattern> searchImpl(
     const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
     const SearchConfig& config, util::ThreadPool* pool, SearchWorkspace& ws,
@@ -135,8 +182,9 @@ std::vector<ScoredPattern> searchImpl(
 
   ws.kernel.rebind(table);
   if (ws.scratch.empty()) ws.scratch.resize(1);
+  if (ws.layer_groups.empty()) ws.layer_groups.resize(1);
+  ws.slot_masks.clear();
   std::vector<ScoredPattern> candidates;
-  std::vector<AttributeCombination> candidate_acs;  // for pruning
 
   // Concurrency actually used: 1 until some layer enlists pool helpers;
   // aggregateLayer reports how many it took (a layer with c cuboids
@@ -147,9 +195,12 @@ std::vector<ScoredPattern> searchImpl(
   // accepted candidate.  Each acceptance filters the remainder, so the
   // coverage test costs O(remaining) instead of O(all anomalous) per
   // accepted candidate.
-  std::vector<dataset::RowId> uncovered =
-      config.early_stop ? table.anomalousRows()
-                        : std::vector<dataset::RowId>{};
+  ws.uncovered.clear();
+  if (config.early_stop) {
+    for (dataset::RowId id = 0; id < table.size(); ++id) {
+      if (table.row(id).anomalous) ws.uncovered.push_back(id);
+    }
+  }
 
   // Accumulates the current layer's effort; flushed into stats.layers
   // when the layer finishes (or the early stop fires inside it).
@@ -216,29 +267,20 @@ std::vector<ScoredPattern> searchImpl(
         return candidates;
       }
       layer_stats.cuboids_visited += 1;
-      std::size_t group_count = 0;
-      const std::vector<GroupAggregate>* groups = nullptr;
-      if (parallel) {
-        groups = &ws.layer_groups[i];
-        group_count = ws.layer_counts[i];
-      } else {
+      const CuboidMask mask = cuboids[i];
+      if (!parallel) {
         const util::WallTimer aggregate_timer;
-        group_count =
-            ws.kernel.groupByInto(cuboids[i], ws.scratch[0], ws.serial_groups);
-        groups = &ws.serial_groups;
+        ws.kernel.groupByInto(mask, ws.scratch[0], ws.layer_groups[0]);
         layer_stats.seconds_aggregate += aggregate_timer.elapsedSeconds();
       }
-      for (std::size_t gi = 0; gi < group_count; ++gi) {
-        const GroupAggregate& group = (*groups)[gi];
-        // Criteria 3: skip the descendants of accepted candidates.  An
-        // accepted candidate always sits at a strictly lower layer, so
-        // the ancestor test is exact.
-        const bool pruned = std::any_of(
-            candidate_acs.begin(), candidate_acs.end(),
-            [&group](const AttributeCombination& ac) {
-              return ac.isAncestorOf(group.ac);
-            });
-        if (pruned) {
+      // Slots are only marked once a cuboid's groups are all merged; no
+      // same-layer cuboid is a strict subset of another, so the probe
+      // sees every candidate that can be an ancestor here.
+      prepareProbe(ws, mask);
+      ws.accepted_keys.clear();
+      for (const CuboidGroup& group : ws.layer_groups[parallel ? i : 0]) {
+        // Criteria 3: skip the descendants of accepted candidates.
+        if (probeHits(ws, group.row)) {
           layer_stats.combinations_pruned += 1;
           continue;
         }
@@ -246,21 +288,24 @@ std::vector<ScoredPattern> searchImpl(
         layer_stats.combinations_evaluated += 1;
         const double confidence = group.confidence();
         if (confidence > config.t_conf) {  // Criteria 2
+          if (ws.accepted_keys.empty()) {
+            ws.kernel.projectionKeys(mask, ws.row_keys);
+          }
+          ws.accepted_keys.push_back(group.key);
           ScoredPattern pattern;
-          pattern.ac = group.ac;
+          pattern.ac = ws.kernel.combination(mask, group.row);
           pattern.confidence = confidence;
           pattern.layer = layer;
-          candidates.push_back(pattern);
-          candidate_acs.push_back(group.ac);
+          candidates.push_back(std::move(pattern));
           layer_stats.candidates_found += 1;
 
           // Early stop (Algorithm 2 lines 9-11): the candidate set
           // already explains every anomalous leaf.
           if (config.early_stop) {
-            std::erase_if(uncovered, [&](dataset::RowId id) {
-              return group.ac.matchesLeaf(table.row(id).ac);
+            std::erase_if(ws.uncovered, [&ws, &group](dataset::RowId id) {
+              return ws.row_keys[id] == group.key;
             });
-            if (uncovered.empty()) {
+            if (ws.uncovered.empty()) {
               stats.early_stopped = true;
               layer_stats.seconds = layer_timer.elapsedSeconds();
               flushLayer();
@@ -269,6 +314,7 @@ std::vector<ScoredPattern> searchImpl(
           }
         }
       }
+      if (!ws.accepted_keys.empty()) markAccepted(ws, mask);
     }
     layer_stats.seconds = layer_timer.elapsedSeconds();
     flushLayer();

@@ -14,7 +14,11 @@
 // code columns are transposed once per search (reusing the capacity of a
 // retained SearchWorkspace across searches), and each cuboid is then
 // aggregated in a single sparse mixed-radix pass — touched cells only —
-// instead of per-row AttributeCombination probing.
+// instead of per-row AttributeCombination probing.  Groups stay integer
+// keys plus counts through the merge: Criteria 3 probes a group's
+// representative row against per-row bitsets of accepted cuboids, the
+// early stop compares row keys, and AttributeCombinations are built
+// only for accepted candidates (docs/algorithms.md, "Key-space merge").
 //
 // Two schedules produce bit-identical results:
 //   * acGuidedSearch        — the serial reference implementation;
@@ -89,12 +93,13 @@ std::vector<dataset::CuboidMask> orderedCuboids(
 
 /// Reusable memory plane for one Algorithm-2 search: the transposed
 /// group-by kernel, one GroupByScratch per fan-out worker (slot 0 is
-/// the calling thread) and the per-cuboid output buffers of the layer
-/// prefetch.  Every buffer grows to its workload's high-water mark and
-/// is then reused, so repeated searches over same-shaped tables perform
-/// no steady-state heap allocation in the aggregation hot path.  A
-/// workspace serves one search at a time; the members are implementation
-/// state — treat them as opaque outside src/core and tests.
+/// the calling thread), the per-cuboid group buffers of the layer
+/// prefetch and the merge's row-level state.  Every buffer grows to its
+/// workload's high-water mark and is then reused, so repeated searches
+/// over same-shaped tables perform no steady-state heap allocation
+/// outside the returned candidates.  A workspace serves one search at a
+/// time; the members are implementation state — treat them as opaque
+/// outside src/core and tests.
 struct SearchWorkspace {
   SearchWorkspace() = default;
   SearchWorkspace(const SearchWorkspace&) = delete;
@@ -103,13 +108,25 @@ struct SearchWorkspace {
   dataset::GroupByKernel kernel;
   /// Per-worker scratches; sized to the widest fan-out seen so far.
   std::vector<dataset::GroupByScratch> scratch;
-  /// Parallel schedule: slot i holds cuboid i's groups for the layer
-  /// being merged (grow-only; stale entries past layer_counts[i] keep
-  /// their heap buffers alive for reuse).
-  std::vector<std::vector<dataset::GroupAggregate>> layer_groups;
-  std::vector<std::size_t> layer_counts;
-  /// Serial schedule: the single reused group buffer.
-  std::vector<dataset::GroupAggregate> serial_groups;
+  /// Slot i holds cuboid i's groups for the layer being merged (the
+  /// serial schedule only ever uses slot 0).
+  std::vector<std::vector<dataset::CuboidGroup>> layer_groups;
+
+  // Merge state (docs/algorithms.md, "Key-space merge").
+  /// [row] projection keys onto the cuboid being merged, filled on the
+  /// cuboid's first acceptance.
+  std::vector<std::uint64_t> row_keys;
+  /// Keys accepted so far in the cuboid being merged (ascending).
+  std::vector<std::uint64_t> accepted_keys;
+  /// [slot] cuboid mask of each cuboid that accepted a candidate.
+  std::vector<dataset::CuboidMask> slot_masks;
+  /// [word][row] bit (slot % 64) of word slot / 64 is set iff the row
+  /// lies under a candidate accepted in that slot's cuboid.
+  std::vector<std::vector<std::uint64_t>> slot_bits;
+  /// [word] slots whose cuboid is a strict subset of the current one.
+  std::vector<std::uint64_t> probe;
+  /// Anomalous rows no accepted candidate covers yet (early stop).
+  std::vector<dataset::RowId> uncovered;
 };
 
 /// Thread-safe checkout/return pool of SearchWorkspaces.  RapMiner owns

@@ -7,7 +7,7 @@ namespace rap::dataset {
 namespace {
 
 /// Same dense-array cutoff as LeafTable::groupBy; beyond it the kernel
-/// delegates to the table's sort-and-aggregate fallback.
+/// sorts rows by key instead.
 constexpr std::uint64_t kDenseLimit = 1u << 22;
 
 }  // namespace
@@ -35,167 +35,149 @@ void GroupByKernel::rebind(const LeafTable& table) {
   }
 }
 
-std::vector<GroupAggregate> GroupByKernel::groupBy(CuboidMask mask) const {
+void GroupByKernel::projectionKeys(CuboidMask mask,
+                                   std::vector<std::uint64_t>& keys) const {
   RAP_CHECK(table_ != nullptr);
   const Schema& schema = table_->schema();
-  const std::uint64_t size = cuboidSize(schema, mask);
-  if (size > kDenseLimit) return table_->groupBy(mask);
-
-  // Mixed-radix strides restricted to the cuboid's attributes, matching
-  // LeafTable::projectionKey: the first member attribute varies slowest.
-  const std::vector<AttrId> attrs = cuboidAttributes(mask);
-  std::vector<std::uint64_t> strides(attrs.size());
-  std::uint64_t stride = 1;
-  for (std::size_t i = attrs.size(); i-- > 0;) {
-    strides[i] = stride;
-    stride *= static_cast<std::uint64_t>(schema.cardinality(attrs[i]));
-  }
-
-  // Column sweeps: one sequential pass per member attribute accumulates
-  // the projection key of every row.
   const std::size_t n = rowCount();
-  std::vector<std::uint64_t> keys(n, 0);
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    const std::uint32_t* column =
-        columns_[static_cast<std::size_t>(attrs[i])].data();
-    const std::uint64_t s = strides[i];
-    for (std::size_t r = 0; r < n; ++r) {
-      keys[r] += s * static_cast<std::uint64_t>(column[r]);
+  keys.resize(n);
+  std::uint64_t* out = keys.data();
+  // Column sweeps, last member attribute first so the stride grows as
+  // LeafTable::projectionKey's Horner form implies (the first member
+  // varies slowest).  The first sweep assigns instead of accumulating,
+  // so the buffer never needs a zero-fill of its own.
+  bool first = true;
+  std::uint64_t stride = 1;
+  for (AttrId a = schema.attributeCount(); a-- > 0;) {
+    if ((mask & (1u << a)) == 0) continue;
+    const std::uint32_t* column = columns_[static_cast<std::size_t>(a)].data();
+    if (first) {
+      for (std::size_t r = 0; r < n; ++r) {
+        out[r] = stride * static_cast<std::uint64_t>(column[r]);
+      }
+      first = false;
+    } else {
+      for (std::size_t r = 0; r < n; ++r) {
+        out[r] += stride * static_cast<std::uint64_t>(column[r]);
+      }
     }
+    stride *= static_cast<std::uint64_t>(schema.cardinality(a));
   }
-
-  std::vector<GroupCell> dense(static_cast<std::size_t>(size));
-  for (std::size_t r = 0; r < n; ++r) {
-    GroupCell& cell = dense[static_cast<std::size_t>(keys[r])];
-    cell.total += 1;
-    cell.anomalous += anomalous_[r];
-    cell.v_sum += v_[r];
-    cell.f_sum += f_[r];
-  }
-
-  std::vector<GroupAggregate> out;
-  for (std::uint64_t key = 0; key < size; ++key) {
-    const GroupCell& cell = dense[static_cast<std::size_t>(key)];
-    if (cell.total == 0) continue;
-    GroupAggregate g;
-    g.total = cell.total;
-    g.anomalous = cell.anomalous;
-    g.v_sum = cell.v_sum;
-    g.f_sum = cell.f_sum;
-    // Decode the mixed-radix key back into the projected combination.
-    AttributeCombination ac(schema.attributeCount());
-    std::uint64_t rest = key;
-    for (std::size_t i = 0; i < attrs.size(); ++i) {
-      ac.setSlot(attrs[i], static_cast<ElemId>(rest / strides[i]));
-      rest %= strides[i];
-    }
-    g.ac = std::move(ac);
-    out.push_back(std::move(g));
-  }
-  return out;
+  if (first) std::fill(out, out + n, 0);
 }
 
 std::size_t GroupByKernel::groupByInto(CuboidMask mask, GroupByScratch& scratch,
-                                       std::vector<GroupAggregate>& out) const {
+                                       std::vector<CuboidGroup>& out) const {
   RAP_CHECK(table_ != nullptr);
-  const Schema& schema = table_->schema();
-  const std::uint64_t size = cuboidSize(schema, mask);
-  if (size > kDenseLimit) {
-    // Sort-and-aggregate fallback for astronomically large cuboids; the
-    // wholesale assignment (re)allocates, which is fine — such cuboids
-    // are outside the dense plane's memory budget by definition.
-    out = table_->groupBy(mask);
-    return out.size();
-  }
-
-  // Member attributes + mixed-radix strides, into reused buffers;
-  // matches LeafTable::projectionKey (first member varies slowest).
-  scratch.attrs.clear();
-  for (AttrId a = 0; a < schema.attributeCount(); ++a) {
-    if ((mask & (1u << a)) != 0) scratch.attrs.push_back(a);
-  }
-  const std::size_t m = scratch.attrs.size();
-  scratch.strides.resize(m);
-  std::uint64_t stride = 1;
-  for (std::size_t i = m; i-- > 0;) {
-    scratch.strides[i] = stride;
-    stride *= static_cast<std::uint64_t>(schema.cardinality(scratch.attrs[i]));
-  }
-
-  // Column sweeps; the first pass assigns instead of accumulating, so
-  // the keys buffer never needs a zero-fill of its own.
+  projectionKeys(mask, scratch.keys);
+  const std::uint64_t* keys = scratch.keys.data();
   const std::size_t n = rowCount();
-  scratch.keys.resize(n);
-  std::uint64_t* keys = scratch.keys.data();
-  if (m == 0) std::fill(keys, keys + n, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint32_t* column =
-        columns_[static_cast<std::size_t>(scratch.attrs[i])].data();
-    const std::uint64_t s = scratch.strides[i];
-    if (i == 0) {
-      for (std::size_t r = 0; r < n; ++r) {
-        keys[r] = s * static_cast<std::uint64_t>(column[r]);
+  const std::uint64_t size = cuboidSize(table_->schema(), mask);
+
+  if (size > kDenseLimit) {
+    // Sort-and-aggregate for cuboids too large for a dense array: order
+    // the rows by (key, row id) and sum each run in row order, exactly
+    // like LeafTable::groupBy's fallback, so the sums stay bit-identical.
+    std::vector<std::uint64_t>& order = scratch.touched;
+    order.resize(n);
+    for (std::size_t r = 0; r < n; ++r) order[r] = r;
+    std::sort(order.begin(), order.end(),
+              [keys](std::uint64_t a, std::uint64_t b) {
+                return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+              });
+    out.clear();
+    for (std::size_t i = 0; i < n;) {
+      CuboidGroup g;
+      g.key = keys[order[i]];
+      g.row = static_cast<RowId>(order[i]);
+      for (; i < n && keys[order[i]] == g.key; ++i) {
+        const std::size_t r = order[i];
+        g.total += 1;
+        g.anomalous += anomalous_[r];
+        g.v_sum += v_[r];
+        g.f_sum += f_[r];
       }
-    } else {
-      for (std::size_t r = 0; r < n; ++r) {
-        keys[r] += s * static_cast<std::uint64_t>(column[r]);
-      }
+      out.push_back(g);
     }
+    order.clear();
+    return out.size();
   }
 
   // The dense array is zero-filled only when it grows; between calls
   // every cell is zero (restored below), so the scatter can detect the
-  // first touch of a cell by total == 0 and record it in the touched
-  // list instead of sweeping all `size` cells afterwards.
+  // first touch of a cell by total == 0 and record it — key and row
+  // packed into one word, as keys stay below 2^22 here — instead of
+  // sweeping all cells afterwards.
   if (scratch.dense.size() < size) {
     scratch.dense.resize(static_cast<std::size_t>(size));
   }
   scratch.touched.clear();
   for (std::size_t r = 0; r < n; ++r) {
     GroupCell& cell = scratch.dense[static_cast<std::size_t>(keys[r])];
-    if (cell.total == 0) scratch.touched.push_back(keys[r]);
+    if (cell.total == 0) scratch.touched.push_back(keys[r] << 32 | r);
     cell.total += 1;
     cell.anomalous += anomalous_[r];
     cell.v_sum += v_[r];
     cell.f_sum += f_[r];
   }
 
-  // Ascending-key output order — exactly the order the one-shot dense
-  // sweep produces; the per-cell sums were accumulated in row order, so
-  // the floats are bit-identical too.
+  // Ascending-key output order (keys are unique, so the packed words
+  // sort by key); the per-cell sums were accumulated in row order, so
+  // the floats are bit-identical to LeafTable::groupBy.
   std::sort(scratch.touched.begin(), scratch.touched.end());
-
   const std::size_t groups = scratch.touched.size();
-  if (out.size() < groups) out.resize(groups);
+  out.resize(groups);
   for (std::size_t j = 0; j < groups; ++j) {
-    const std::uint64_t key = scratch.touched[j];
+    const std::uint64_t key = scratch.touched[j] >> 32;
     GroupCell& cell = scratch.dense[static_cast<std::size_t>(key)];
-    GroupAggregate& g = out[j];
+    CuboidGroup& g = out[j];
+    g.key = key;
+    g.row = static_cast<RowId>(scratch.touched[j] & 0xFFFFFFFFu);
     g.total = cell.total;
     g.anomalous = cell.anomalous;
     g.v_sum = cell.v_sum;
     g.f_sum = cell.f_sum;
-    // Decode the mixed-radix key, reusing the slot storage of whatever
-    // combination this output element held before (same-width acs are
-    // rewritten in place; only a schema change reallocates).
-    if (g.ac.attributeCount() != schema.attributeCount()) {
-      g.ac = AttributeCombination(schema.attributeCount());
-    }
-    std::uint64_t rest = key;
-    std::size_t i = 0;
-    for (AttrId a = 0; a < schema.attributeCount(); ++a) {
-      if (i < m && scratch.attrs[i] == a) {
-        g.ac.setSlot(a, static_cast<ElemId>(rest / scratch.strides[i]));
-        rest %= scratch.strides[i];
-        ++i;
-      } else {
-        g.ac.setSlot(a, kWildcard);
-      }
-    }
     cell = GroupCell{};  // restore the all-zero invariant, touched cells only
   }
   scratch.touched.clear();
   return groups;
+}
+
+std::size_t GroupByKernel::groupByInto(CuboidMask mask, GroupByScratch& scratch,
+                                       std::vector<GroupAggregate>& out) const {
+  const std::size_t groups = groupByInto(mask, scratch, scratch.groups);
+  if (out.size() < groups) out.resize(groups);
+  for (std::size_t j = 0; j < groups; ++j) {
+    const CuboidGroup& g = scratch.groups[j];
+    GroupAggregate& a = out[j];
+    a.total = g.total;
+    a.anomalous = g.anomalous;
+    a.v_sum = g.v_sum;
+    a.f_sum = g.f_sum;
+    project(mask, g.row, a.ac);
+  }
+  return groups;
+}
+
+AttributeCombination GroupByKernel::combination(CuboidMask mask,
+                                                RowId row) const {
+  AttributeCombination ac;
+  project(mask, row, ac);
+  return ac;
+}
+
+void GroupByKernel::project(CuboidMask mask, RowId row,
+                            AttributeCombination& ac) const {
+  RAP_CHECK(row < rowCount());
+  const auto count = static_cast<AttrId>(columns_.size());
+  // Same-width combinations are rewritten in place (no allocation).
+  if (ac.attributeCount() != count) ac = AttributeCombination(count);
+  for (AttrId a = 0; a < count; ++a) {
+    ac.setSlot(a, (mask & (1u << a)) != 0
+                      ? static_cast<ElemId>(
+                            columns_[static_cast<std::size_t>(a)][row])
+                      : kWildcard);
+  }
 }
 
 GroupAggregate GroupByKernel::aggregateFor(const AttributeCombination& ac) const {

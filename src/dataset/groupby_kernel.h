@@ -10,30 +10,26 @@
 // the mixed-radix projection keys, one final pass to scatter the rows
 // into a flat (total, anomalous, v_sum, f_sum) accumulation array.
 //
-// Two aggregation entry points share that layout:
+// groupByInto(mask, scratch, out) is the aggregation entry point.  The
+// caller supplies a GroupByScratch whose dense array is zero-filled only
+// when it grows; a touched-key list records which cells the call wrote,
+// and the output is produced by sorting the touched keys ascending.
+// Only touched cells are reset afterwards, so a call costs
+// O(rows + groups·log groups) rather than O(rows + cuboid_size).  In
+// steady state (schema, row count and cuboid sizes no larger than
+// already seen) the call performs zero heap allocations — asserted by
+// `micro_primitives --assert-zero-alloc` in CI.
 //
-//   * groupBy(mask) — the original one-shot form: allocates a dense cell
-//     array of cuboidSize(mask) cells, zero-fills it, sweeps every cell
-//     to collect the non-empty groups.  O(rows + cuboid_size) per call.
-//   * groupByInto(mask, scratch, out) — the allocation-free hot path:
-//     the caller supplies a GroupByScratch whose dense array is
-//     zero-filled only when it grows, a touched-key list records which
-//     cells this call wrote, and the output is produced by sorting the
-//     touched keys ascending.  Only touched cells are reset afterwards,
-//     so the O(cuboid_size) zero-fill + full sweep of the one-shot form
-//     becomes O(rows + groups·log groups).  In steady state (schema,
-//     row count and cuboid sizes no larger than already seen) the call
-//     performs zero heap allocations — asserted by
-//     `micro_primitives --assert-zero-alloc` in CI.
-//
-// Output contract: both forms are element-for-element identical to
-// LeafTable::groupBy(mask) — same ascending-key order, same counts and,
-// because rows are accumulated into per-cell sums in the same row order,
-// bit-identical floating-point sums.  The kernel is immutable between
-// rebind()s and safe to share across threads as long as each thread
-// brings its own scratch (the parallel layer search of
-// core::acGuidedSearch aggregates disjoint cuboids concurrently through
-// one kernel with per-worker scratches).
+// Output contract: groups come out in ascending projection-key order as
+// plain data (CuboidGroup: key, representative row, counts, sums) —
+// no AttributeCombination is built on the hot path; combination()
+// materializes one on demand.  Keys, counts and order are identical to
+// LeafTable::groupBy(mask) and, because rows are accumulated into
+// per-cell sums in the same row order, so are the floating-point sums.
+// The kernel is immutable between rebind()s and safe to share across
+// threads as long as each thread brings its own scratch (the parallel
+// layer search of core::acGuidedSearch aggregates disjoint cuboids
+// concurrently through one kernel with per-worker scratches).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +48,26 @@ struct GroupCell {
   double f_sum = 0.0;
 };
 
+/// One non-empty group of a cuboid aggregation, as plain data.  `key` is
+/// the group's mixed-radix projection key (LeafTable::projectionKey) and
+/// `row` the lowest-id row projecting onto it — every row of the group
+/// agrees with `row` on the cuboid's attributes, so the row stands in
+/// for the whole group in row-level lookups.
+struct CuboidGroup {
+  std::uint64_t key = 0;
+  RowId row = 0;
+  std::uint32_t total = 0;
+  std::uint32_t anomalous = 0;
+  double v_sum = 0.0;
+  double f_sum = 0.0;
+
+  double confidence() const noexcept {
+    return total == 0 ? 0.0
+                      : static_cast<double>(anomalous) /
+                            static_cast<double>(total);
+  }
+};
+
 /// Caller-owned scratch memory for GroupByKernel::groupByInto.  All
 /// buffers grow to the high-water mark of the cuboids aggregated through
 /// them and are then reused without reallocation.  Invariant between
@@ -61,9 +77,11 @@ struct GroupCell {
 struct GroupByScratch {
   std::vector<std::uint64_t> keys;     ///< [row] projection keys
   std::vector<GroupCell> dense;        ///< [key] accumulation cells
-  std::vector<std::uint64_t> touched;  ///< keys written by this call
-  std::vector<AttrId> attrs;           ///< member attributes of the mask
-  std::vector<std::uint64_t> strides;  ///< mixed-radix strides of attrs
+  /// Cells written by this call, packed (key << 32 | first row); the
+  /// sparse fallback reuses it as a row permutation.
+  std::vector<std::uint64_t> touched;
+  /// Keyed groups behind the GroupAggregate overload of groupByInto.
+  std::vector<CuboidGroup> groups;
 };
 
 class GroupByKernel {
@@ -86,27 +104,38 @@ class GroupByKernel {
   const LeafTable& table() const noexcept { return *table_; }
   std::size_t rowCount() const noexcept { return anomalous_.size(); }
 
-  /// One-pass aggregation of all leaves by their projection onto `mask`;
-  /// identical to table().groupBy(mask) (see header comment).  One-shot
-  /// form: allocates its dense array per call.
-  std::vector<GroupAggregate> groupBy(CuboidMask mask) const;
+  /// Aggregates all leaves by their projection onto `mask` into `out`
+  /// (resized to the group count, capacity retained) using the caller's
+  /// scratch; returns the group count.  Cuboids above the dense limit
+  /// fall back to sort-and-aggregate through the same scratch (its
+  /// buffers grow to the row count — no other allocation).
+  std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
+                          std::vector<CuboidGroup>& out) const;
 
-  /// Allocation-free form: aggregates into `out[0 .. returned count)`
-  /// using the caller's scratch.  `out` only ever grows — entries past
-  /// the returned count are stale leftovers kept alive so their heap
-  /// buffers (each GroupAggregate owns an AttributeCombination) can be
-  /// reused by later calls.  Element-for-element bit-identical to
-  /// groupBy(mask) over the returned prefix.  Cuboids above the dense
-  /// limit fall back to the table's sort-and-aggregate path (which
-  /// allocates; documented exception to the zero-allocation contract).
+  /// Decoded form for harnesses that want combinations: the same groups
+  /// as table().groupBy(mask), element for element and bit for bit, in
+  /// `out[0 .. returned count)`.  `out` only ever grows so the
+  /// combinations of stale entries are rewritten in place on reuse.
   std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
                           std::vector<GroupAggregate>& out) const;
+
+  /// Writes the projection key of every row onto `mask` into
+  /// `keys[0 .. rowCount())` (resized; capacity retained) — the keys
+  /// groupByInto groups by.
+  void projectionKeys(CuboidMask mask, std::vector<std::uint64_t>& keys) const;
+
+  /// The projection of row `row` onto `mask`: its elements on the
+  /// cuboid's attributes, wildcards elsewhere.
+  AttributeCombination combination(CuboidMask mask, RowId row) const;
 
   /// Support counts of a single combination (column scan; used by tests
   /// to cross-check against InvertedIndex::aggregateFor).
   GroupAggregate aggregateFor(const AttributeCombination& ac) const;
 
  private:
+  /// combination() into `ac`, rewriting same-width slots in place.
+  void project(CuboidMask mask, RowId row, AttributeCombination& ac) const;
+
   const LeafTable* table_ = nullptr;
   // columns_[attr][row] — element code of `row` in attribute `attr`.
   std::vector<std::vector<std::uint32_t>> columns_;

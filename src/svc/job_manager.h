@@ -83,6 +83,10 @@ struct JobRequest {
   std::int32_t priority = 0;  ///< higher runs sooner
   /// Content hash of the originating request (cache key); 0 = uncached.
   std::uint64_t cache_key = 0;
+  /// Set when the caller already looked cache_key up and missed (the
+  /// service's sync path): execution counts that miss and skips its own
+  /// lookup, so one request is one cache lookup.
+  bool cache_checked = false;
   /// Durable journal record backing this job; 0 = not journaled.  The
   /// on_terminal callback hands it back so the service can write the
   /// completion marker.

@@ -256,6 +256,7 @@ obs::HttpResponse LocalizeService::handleLocalize(
   job.cache_key = key;
 
   if (sync) {
+    job.cache_checked = true;  // the fast path above just missed
     auto result = jobs_->executeInline(std::move(job));
     if (!result.isOk()) {
       return obs::errorResponse(500, "internal", result.status().message());

@@ -84,6 +84,15 @@ Status FlagParser::parse(int argc, const char* const* argv) {
       return Status::invalidArgument("unknown flag --" + name);
     }
     if (it->second.type == Type::kBool) {
+      // A literal bool right after the switch is its value (--json false);
+      // anything else is a positional and the switch means true.
+      if (i + 1 < argc) {
+        const std::string next = toLower(argv[i + 1]);
+        if (next == "true" || next == "false" || next == "0" || next == "1") {
+          RAP_RETURN_IF_ERROR(setValue(name, argv[++i]));
+          continue;
+        }
+      }
       it->second.value = "true";
       continue;
     }

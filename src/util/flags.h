@@ -1,6 +1,8 @@
 // Tiny command-line flag parser for the example binaries and bench
 // harnesses.  Supports --name=value and --name value forms plus boolean
-// switches (--verbose).  Unknown flags are an error so typos surface.
+// switches (--verbose); a switch followed by a literal true, false, 0 or
+// 1 takes it as its value (--verbose false).  Unknown flags are an error
+// so typos surface.
 #pragma once
 
 #include <cstdint>

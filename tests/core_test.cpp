@@ -6,8 +6,10 @@
 
 #include "core/classification_power.h"
 #include "core/rapminer.h"
+#include "core/report.h"
 #include "core/search.h"
 #include "dataset/cuboid.h"
+#include "obs/metrics.h"
 
 namespace rap::core {
 namespace {
@@ -403,6 +405,49 @@ TEST(RapMinerBuilder, BuildsWorkingMinerOnBoundaryValues) {
   // Confidence can never exceed 1.0, so t_conf = 1.0 accepts nothing.
   EXPECT_TRUE(result.patterns.empty());
   EXPECT_EQ(result.stats.search_threads, 2);
+}
+
+TEST(RapMiner, PublishesPerLayerMergeTimeNextToAggregation) {
+  // Merge = a layer's wall time minus its aggregation time, one
+  // observation per layer in rap_search_layer_merge_seconds{layer}.
+  auto& registry = obs::defaultRegistry();
+  const obs::Labels layer1{{"layer", "1"}};
+  const auto buckets = obs::exponentialBuckets(1e-5, 4.0, 10);
+  auto& merge =
+      registry.histogram("rap_search_layer_merge_seconds", buckets, layer1);
+  auto& aggregate =
+      registry.histogram("rap_search_layer_aggregate_seconds", buckets, layer1);
+  const std::uint64_t merge_before = merge.count();
+  const double merge_sum_before = merge.sum();
+  const std::uint64_t aggregate_before = aggregate.count();
+
+  obs::setMetricsEnabled(true);
+  const auto result = RapMiner().localize(makeTable({"(a2, *, *, *)"}), 5);
+  obs::setMetricsEnabled(false);
+
+  ASSERT_EQ(result.stats.layers.size(), 1u);
+  const LayerSearchStats& layer = result.stats.layers[0];
+  EXPECT_EQ(merge.count(), merge_before + 1);
+  EXPECT_EQ(aggregate.count(), aggregate_before + 1);
+  EXPECT_NEAR(merge.sum() - merge_sum_before,
+              layer.seconds - layer.seconds_aggregate, 1e-12);
+}
+
+TEST(Report, LayerTableHasAMergeColumn) {
+  LocalizationResult result;
+  LayerSearchStats layer;
+  layer.layer = 2;
+  layer.seconds = 0.5;
+  layer.seconds_aggregate = 0.2;
+  result.stats.layers.push_back(layer);
+  const std::string report = renderReport(Schema::tiny(), result);
+  EXPECT_NE(report.find("merge"), std::string::npos);
+  // time, aggregate and merge (= time - aggregate) on the layer's row.
+  const auto row = report.find("500.00ms");
+  ASSERT_NE(row, std::string::npos);
+  const auto aggregate = report.find("200.00ms", row);
+  ASSERT_NE(aggregate, std::string::npos);
+  EXPECT_NE(report.find("300.00ms", aggregate), std::string::npos);
 }
 
 TEST(RapMinerConfig, LegacyFlatConfigConvertsToNested) {

@@ -83,58 +83,73 @@ TEST_P(RandomTableProperty, IndexAgreesWithScanOnRandomProbes) {
 }
 
 TEST_P(RandomTableProperty, KernelMatchesTableGroupByBitExactly) {
-  // The dense kernel's contract: element-for-element identical to
-  // LeafTable::groupBy on every cuboid, including the float sums
-  // (compared with ==, not a tolerance — the parallel search's
-  // bit-identity guarantee rests on this).
+  // The kernel's contract: element-for-element identical to
+  // LeafTable::groupBy on every cuboid — the decoded key (the
+  // representative row's projection), counts and float sums (compared
+  // with ==, not a tolerance — the parallel search's bit-identity
+  // guarantee rests on this).
   util::Rng rng(GetParam() ^ 0xC0DE);
   const LeafTable table = randomTable(rng);
   const dataset::GroupByKernel kernel(table);
+  dataset::GroupByScratch scratch;
+  std::vector<dataset::CuboidGroup> actual;
   for (const auto mask :
        dataset::allCuboidsByLayer(dataset::allAttributesMask(table.schema()))) {
     const auto expected = table.groupBy(mask);
-    const auto actual = kernel.groupBy(mask);
-    ASSERT_EQ(expected.size(), actual.size()) << "mask=" << mask;
+    ASSERT_EQ(expected.size(), kernel.groupByInto(mask, scratch, actual))
+        << "mask=" << mask;
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].ac, actual[i].ac);
-      EXPECT_EQ(expected[i].total, actual[i].total);
-      EXPECT_EQ(expected[i].anomalous, actual[i].anomalous);
-      EXPECT_EQ(expected[i].v_sum, actual[i].v_sum);
-      EXPECT_EQ(expected[i].f_sum, actual[i].f_sum);
+      const dataset::CuboidGroup& g = actual[i];
+      EXPECT_EQ(expected[i].ac, kernel.combination(mask, g.row));
+      EXPECT_EQ(g.key, table.projectionKey(g.row, mask));
+      EXPECT_EQ(expected[i].total, g.total);
+      EXPECT_EQ(expected[i].anomalous, g.anomalous);
+      EXPECT_EQ(expected[i].v_sum, g.v_sum);
+      EXPECT_EQ(expected[i].f_sum, g.f_sum);
+      // The representative is the group's lowest row id.
+      for (dataset::RowId r = 0; r < g.row; ++r) {
+        EXPECT_NE(table.projectionKey(r, mask), g.key);
+      }
     }
   }
 }
 
 TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
-  // The allocation-free path's contract under REUSE: one kernel, one
-  // scratch, and one grow-only output vector driven across two random
-  // tables x every cuboid x repeated passes must stay element-for-element
+  // The allocation-free path's contract under REUSE: one kernel and one
+  // scratch driven across two random tables x every cuboid x repeated
+  // passes, through both output forms, must stay element-for-element
   // identical to LeafTable::groupBy (float sums compared with ==).  The
   // failure mode this hunts is stale state leaking between calls: a
-  // touched cell not reset to zero, or an output slot keeping a previous
-  // mask's element in a now-wildcard attribute.
+  // touched cell not reset to zero, or a decoded output slot keeping a
+  // previous mask's element in a now-wildcard attribute.
   util::Rng rng(GetParam() ^ 0x5EED);
   const LeafTable table_a = randomTable(rng);
   const LeafTable table_b = randomTable(rng);
   dataset::GroupByKernel kernel;
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::CuboidGroup> keyed;
+  std::vector<dataset::GroupAggregate> decoded;
   for (int pass = 0; pass < 3; ++pass) {
     for (const LeafTable* table : {&table_a, &table_b}) {
       kernel.rebind(*table);
       for (const auto mask : dataset::allCuboidsByLayer(
                dataset::allAttributesMask(table->schema()))) {
         const auto expected = table->groupBy(mask);
-        const std::size_t count = kernel.groupByInto(mask, scratch, out);
+        ASSERT_EQ(expected.size(), kernel.groupByInto(mask, scratch, keyed))
+            << "pass=" << pass << " mask=" << mask;
+        const std::size_t count = kernel.groupByInto(mask, scratch, decoded);
         ASSERT_EQ(expected.size(), count)
             << "pass=" << pass << " mask=" << mask;
         for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(expected[i].ac, out[i].ac)
+          EXPECT_EQ(expected[i].ac, decoded[i].ac)
               << "pass=" << pass << " mask=" << mask << " i=" << i;
-          EXPECT_EQ(expected[i].total, out[i].total);
-          EXPECT_EQ(expected[i].anomalous, out[i].anomalous);
-          EXPECT_EQ(expected[i].v_sum, out[i].v_sum);
-          EXPECT_EQ(expected[i].f_sum, out[i].f_sum);
+          EXPECT_EQ(expected[i].ac, kernel.combination(mask, keyed[i].row));
+          EXPECT_EQ(expected[i].total, decoded[i].total);
+          EXPECT_EQ(expected[i].anomalous, decoded[i].anomalous);
+          EXPECT_EQ(expected[i].v_sum, decoded[i].v_sum);
+          EXPECT_EQ(expected[i].f_sum, decoded[i].f_sum);
+          EXPECT_EQ(expected[i].total, keyed[i].total);
+          EXPECT_EQ(expected[i].v_sum, keyed[i].v_sum);
         }
       }
     }

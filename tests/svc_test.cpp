@@ -431,6 +431,22 @@ TEST(LocalizeService, IdenticalResubmissionIsABitIdenticalCacheHit) {
   obs::setMetricsEnabled(false);
 }
 
+TEST(LocalizeService, FreshSyncRequestLooksTheCacheUpOnce) {
+  // One fresh sync POST plus one identical resubmission: the fresh one
+  // misses once (the pre-parse fast path; execution does not look the
+  // key up again), the resubmission hits once.
+  const auto schema = dataset::Schema::tiny();
+  svc::LocalizeService service(schema, core::RapMinerConfig{},
+                               smallServiceOptions());
+  const std::string body = csvBodyOf(demoTable(schema));
+  ASSERT_EQ(service.handleLocalize(postRequest(body)).status, 200);
+  ASSERT_EQ(service.handleLocalize(postRequest(body)).status, 200);
+  const auto stats = service.cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+}
+
 TEST(LocalizeService, JsonBodyProducesTheSameResultAsCsv) {
   const auto schema = dataset::Schema::tiny();
   svc::LocalizeService service(schema, core::RapMinerConfig{},

@@ -418,6 +418,29 @@ TEST(Flags, BoolAcceptsExplicitValues) {
   EXPECT_FALSE(flags.getBool("x"));
 }
 
+TEST(Flags, BoolTakesAFollowingLiteralAsItsValue) {
+  // --x false / 0 must not parse as "--x (true) plus a positional".
+  for (const auto& [literal, expected] :
+       std::vector<std::pair<const char*, bool>>{
+           {"true", true}, {"false", false}, {"0", false}, {"1", true}}) {
+    FlagParser flags;
+    flags.addBool("x", !expected, "");
+    const char* argv[] = {"prog", "--x", literal};
+    ASSERT_TRUE(flags.parse(3, argv).isOk()) << literal;
+    EXPECT_EQ(flags.getBool("x"), expected) << literal;
+    EXPECT_TRUE(flags.positional().empty()) << literal;
+  }
+}
+
+TEST(Flags, PositionalAfterBoolStaysPositional) {
+  FlagParser flags;
+  flags.addBool("x", false, "");
+  const char* argv[] = {"prog", "--x", "no", "2"};
+  ASSERT_TRUE(flags.parse(4, argv).isOk());
+  EXPECT_TRUE(flags.getBool("x"));
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"no", "2"}));
+}
+
 TEST(Flags, HelpTextListsFlags) {
   FlagParser flags;
   flags.addInt("alpha", 3, "the alpha knob");
