@@ -1,20 +1,23 @@
 // Micro-benchmarks of the primitives the localization algorithms are
 // built on: group-by aggregation, classification power, the AC search,
-// FP-growth, posting-list intersection and the density clustering.
+// FP-growth, posting-list intersection, the density clustering and the
+// CSV snapshot decode.
 //
 // Besides the google-benchmark suite, the binary has a second mode:
 //
 //   micro_primitives --assert-zero-alloc
 //
 // runs the warmed-up workspace group-by over every cuboid of a sparse
-// table with the allocation probe armed and exits non-zero if the
-// steady state performed a single heap allocation — the CI bench-smoke
+// table, then the warmed CSV tokenizer over a request body, with the
+// allocation probe armed and exits non-zero if the steady state
+// performed a single heap allocation — the CI bench-smoke
 // job's enforcement of the allocation-free hot-path contract
 // (docs/algorithms.md, "Workspace reuse").  The probe's replacement
 // operator new/delete are compiled into this binary only (see
 // src/util/alloc_probe.h).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +27,8 @@
 #include "alarm/monitor.h"
 #include "baselines/fp_rap.h"
 #include "forecast/forecaster.h"
+#include "io/csv.h"
+#include "io/dataset_io.h"
 #include "io/json.h"
 #include "core/classification_power.h"
 #include "core/rapminer.h"
@@ -34,6 +39,7 @@
 #include "mining/fpgrowth.h"
 #include "obs/metrics.h"
 #include "stats/histogram.h"
+#include "svc/snapshot.h"
 #include "util/alloc_probe.h"
 #include "util/rng.h"
 
@@ -333,9 +339,80 @@ void BM_JsonResultSerialization(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonResultSerialization);
 
+/// A generated case as a CSV request body in the saveLeafTable layout
+/// (%.6g KPIs, no label column): `rapmd` is perfbench's rapmd_exhaustive
+/// shape (8 attributes, ~59k rows), otherwise its cdn_mixed shape (the
+/// Table I CDN schema, ~9k rows).  Rows come in leaf order.
+const std::string& snapshotBody(bool rapmd) {
+  static const std::array<std::string, 2> kBodies = [] {
+    std::array<std::string, 2> bodies;
+    for (const bool big : {false, true}) {
+      const dataset::Schema schema =
+          big ? dataset::Schema::synthetic({8, 6, 5, 4, 4, 3, 3, 2})
+              : dataset::Schema::cdn();
+      gen::RapmdGenerator generator(schema, gen::RapmdConfig{}, 901);
+      const gen::Case c = generator.generateCase(big ? 1 << 20 : 0);
+      std::string& out = bodies[big ? 1 : 0];
+      for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+        out += schema.attribute(a).name() + ",";
+      }
+      out += "real,predict\n";
+      char kpis[64];
+      for (const auto& row : c.table.rows()) {
+        for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+          out += schema.attribute(a).elementName(row.ac.slot(a));
+          out += ',';
+        }
+        out.append(kpis, static_cast<std::size_t>(std::snprintf(
+                             kpis, sizeof(kpis), "%.6g,%.6g\n", row.v, row.f)));
+      }
+    }
+    return bodies;
+  }();
+  return kBodies[rapmd ? 1 : 0];
+}
+
+/// CSV body -> LeafTable, the service's decode of a localize request.
+/// Arg 1: the rapmd_exhaustive body; arg 0: the cdn_mixed body.
+/// `element_reuse` is the share of element fields the decoder resolved
+/// from the previous row instead of a dictionary lookup.
+void BM_DecodeCsvSnapshot(benchmark::State& state) {
+  const bool rapmd = state.range(0) == 1;
+  const std::string& body = snapshotBody(rapmd);
+  const dataset::Schema schema =
+      rapmd ? dataset::Schema::synthetic({8, 6, 5, 4, 4, 3, 3, 2})
+            : dataset::Schema::cdn();
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    auto table = svc::parseCsvSnapshot(schema, body);
+    if (!table.isOk()) {
+      state.SkipWithError(table.status().message().c_str());
+      return;
+    }
+    rows = table->size();
+    benchmark::DoNotOptimize(table);
+  }
+  io::LeafTableDecoder decoder(schema, "bench");
+  io::CsvStreamParser parser;
+  const io::CsvRowCallback decode =
+      [&decoder](std::span<const std::string_view> row) { decoder.addRow(row); };
+  if (parser.feed(body, decode).isOk() && parser.finish(decode).isOk()) {
+    state.counters["element_reuse"] =
+        static_cast<double>(decoder.reusedElements()) /
+        static_cast<double>(rows * static_cast<std::size_t>(
+                                       schema.attributeCount()));
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(body.size()));
+  state.SetLabel(rapmd ? "rapmd" : "cdn");
+}
+BENCHMARK(BM_DecodeCsvSnapshot)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
 /// --assert-zero-alloc: drive the warmed-up workspace group-by over
-/// every cuboid with the allocation probe armed.  Exit 0 iff the steady
-/// state allocated nothing.
+/// every cuboid, then the warmed CSV tokenizer over a request body with
+/// a no-op row callback, with the allocation probe armed.  Exit 0 iff
+/// the steady state allocated nothing.
 int assertZeroAlloc() {
   const auto& table = sparseTable();
   dataset::GroupByKernel kernel(table);
@@ -367,6 +444,41 @@ int assertZeroAlloc() {
     return 1;
   }
   std::printf("OK: steady-state group-by is allocation-free\n");
+
+  // The tokenizer, whole body and in the 64 KiB chunks loadLeafTable
+  // reads (rows cut by a chunk boundary go through the owned buffer).
+  const std::string& body = snapshotBody(false);
+  io::CsvStreamParser parser;
+  std::size_t rows = 0;
+  const io::CsvRowCallback count =
+      [&rows](std::span<const std::string_view>) { ++rows; };
+  const auto tokenize = [&] {
+    bool ok = parser.feed(body, count).isOk() && parser.finish(count).isOk();
+    for (std::size_t at = 0; at < body.size(); at += 1 << 16) {
+      ok = ok && parser.feed(std::string_view(body).substr(at, 1 << 16), count)
+                     .isOk();
+    }
+    return ok && parser.finish(count).isOk();
+  };
+  if (!tokenize()) {
+    std::fprintf(stderr, "FAIL: the tokenizer rejected the bench body\n");
+    return 1;
+  }
+  const std::size_t rows_per_body = rows / 2;
+  util::allocProbeArm();
+  bool ok = true;
+  for (int pass = 0; pass < kPasses; ++pass) ok = tokenize() && ok;
+  const std::uint64_t csv_allocs = util::allocProbeDisarm();
+  std::printf(
+      "zero-alloc check: %llu heap allocations across %d passes x 2 "
+      "tokenizations of a %zu-byte body (%zu rows)\n",
+      static_cast<unsigned long long>(csv_allocs), kPasses, body.size(),
+      rows_per_body);
+  if (csv_allocs != 0 || !ok) {
+    std::fprintf(stderr, "FAIL: the warmed CSV tokenizer allocated\n");
+    return 1;
+  }
+  std::printf("OK: warmed CSV tokenization is allocation-free\n");
   return 0;
 }
 

@@ -23,10 +23,10 @@ const std::string& Attribute::elementName(ElemId id) const {
   return elements_[static_cast<std::size_t>(id)];
 }
 
-util::Result<ElemId> Attribute::elementId(const std::string& element_name) const {
+util::Result<ElemId> Attribute::elementId(std::string_view element_name) const {
   auto it = index_.find(element_name);
   if (it == index_.end()) {
-    return util::Status::notFound("element '" + element_name +
+    return util::Status::notFound("element '" + std::string(element_name) +
                                   "' not in attribute '" + name_ + "'");
   }
   return it->second;

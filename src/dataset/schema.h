@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -29,13 +31,22 @@ class Attribute {
     return static_cast<std::int32_t>(elements_.size());
   }
   const std::string& elementName(ElemId id) const;
-  /// Returns the element id, or an error if the name is unknown.
-  util::Result<ElemId> elementId(const std::string& element_name) const;
+  /// Returns the element id, or an error if the name is unknown.  Looks
+  /// a view up without building a string (the decoders pass field views).
+  util::Result<ElemId> elementId(std::string_view element_name) const;
 
  private:
+  /// Lets the index find a std::string key from a string_view.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::string name_;
   std::vector<std::string> elements_;
-  std::unordered_map<std::string, ElemId> index_;
+  std::unordered_map<std::string, ElemId, NameHash, std::equal_to<>> index_;
 };
 
 /// Ordered set of attributes.  Immutable once constructed.

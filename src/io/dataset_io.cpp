@@ -41,60 +41,80 @@ util::Status saveLeafTable(const LeafTable& table, const std::string& path) {
 
 util::Result<LeafTable> loadLeafTable(const Schema& schema,
                                       const std::string& path) {
-  auto parsed = readCsvFile(path);
-  if (!parsed) return parsed.status();
-  return leafTableFromCsvRows(schema, parsed.value(), path);
+  LeafTableDecoder decoder(schema, path);
+  RAP_RETURN_IF_ERROR(streamCsvFile(
+      path, [&decoder](std::span<const std::string_view> row) {
+        decoder.addRow(row);
+      }));
+  return std::move(decoder).finish();
 }
 
-util::Result<LeafTable> leafTableFromCsvRows(const Schema& schema,
-                                             const std::vector<CsvRow>& rows,
-                                             const std::string& source) {
-  if (rows.empty()) {
-    return util::Status::invalidArgument("'" + source + "' is empty");
-  }
+LeafTableDecoder::LeafTableDecoder(const Schema& schema, std::string source)
+    : source_(std::move(source)),
+      table_(schema),
+      previous_(static_cast<std::size_t>(schema.attributeCount()),
+                dataset::kWildcard) {}
 
+void LeafTableDecoder::addRow(std::span<const std::string_view> fields) {
+  // The first error sticks; row 1 is the header.
+  if (!status_.isOk() || ++rows_seen_ == 1) return;
+  const util::Status status = decodeRow(fields);
+  if (!status.isOk()) {
+    status_ = {status.code(), source_ + ":" + std::to_string(rows_seen_) +
+                                  ": " + status.message()};
+  }
+}
+
+util::Status LeafTableDecoder::decodeRow(
+    std::span<const std::string_view> fields) {
+  const Schema& schema = table_.schema();
   const auto n_attrs = static_cast<std::size_t>(schema.attributeCount());
   const std::size_t min_cols = n_attrs + 2;  // + real + predict
-  LeafTable table(schema);
-  table.reserve(rows.size() - 1);
-
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    const CsvRow& row = rows[r];
-    if (row.size() < min_cols) {
-      return util::Status::invalidArgument(
-          util::strFormat("%s:%zu: expected >= %zu columns, got %zu",
-                          source.c_str(), r + 1, min_cols, row.size()));
-    }
-    std::vector<dataset::ElemId> slots(n_attrs, dataset::kWildcard);
-    for (std::size_t a = 0; a < n_attrs; ++a) {
-      auto elem = schema.attribute(static_cast<AttrId>(a)).elementId(row[a]);
-      if (!elem) {
-        return util::Status::invalidArgument(
-            util::strFormat("%s:%zu: %s", source.c_str(), r + 1,
-                            elem.status().message().c_str()));
-      }
-      slots[a] = elem.value();
-    }
-    auto v = util::parseDouble(row[n_attrs]);
-    if (!v) return v.status();
-    auto f = util::parseDouble(row[n_attrs + 1]);
-    if (!f) return f.status();
-    // NaN/Inf KPI values poison every ratio downstream (deviation,
-    // RAPScore); reject them here with the row that carried them.
-    if (!std::isfinite(v.value()) || !std::isfinite(f.value())) {
-      return util::Status::invalidArgument(
-          util::strFormat("%s:%zu: non-finite KPI value (real=%s predict=%s)",
-                          source.c_str(), r + 1, row[n_attrs].c_str(),
-                          row[n_attrs + 1].c_str()));
-    }
-    bool anomalous = false;
-    if (row.size() > min_cols) {
-      anomalous = util::trim(row[n_attrs + 2]) == "1";
-    }
-    table.addRow(AttributeCombination(std::move(slots)), v.value(), f.value(),
-                 anomalous);
+  if (fields.size() < min_cols) {
+    return util::Status::invalidArgument(util::strFormat(
+        "expected >= %zu columns, got %zu", min_cols, fields.size()));
   }
-  return table;
+  std::vector<dataset::ElemId> slots(n_attrs);
+  for (std::size_t a = 0; a < n_attrs; ++a) {
+    const auto& attr = schema.attribute(static_cast<AttrId>(a));
+    // Leaf-ordered bodies repeat the leading attributes' elements row
+    // after row; one compare replaces the dictionary lookup.
+    if (previous_[a] != dataset::kWildcard &&
+        attr.elementName(previous_[a]) == fields[a]) {
+      slots[a] = previous_[a];
+      ++reused_elements_;
+      continue;
+    }
+    auto elem = attr.elementId(fields[a]);
+    if (!elem) return util::Status::invalidArgument(elem.status().message());
+    slots[a] = previous_[a] = elem.value();
+  }
+  auto v = util::parseDouble(fields[n_attrs]);
+  RAP_RETURN_IF_ERROR(v.status());
+  auto f = util::parseDouble(fields[n_attrs + 1]);
+  RAP_RETURN_IF_ERROR(f.status());
+  // NaN/Inf KPI values poison every ratio downstream (deviation,
+  // RAPScore); reject them here with the row that carried them.
+  if (!std::isfinite(v.value()) || !std::isfinite(f.value())) {
+    return util::Status::invalidArgument(util::strFormat(
+        "non-finite KPI value (real=%.*s predict=%.*s)",
+        static_cast<int>(fields[n_attrs].size()), fields[n_attrs].data(),
+        static_cast<int>(fields[n_attrs + 1].size()),
+        fields[n_attrs + 1].data()));
+  }
+  const bool anomalous =
+      fields.size() > min_cols && util::trim(fields[n_attrs + 2]) == "1";
+  table_.addRow(AttributeCombination(std::move(slots)), v.value(), f.value(),
+                anomalous);
+  return util::Status::ok();
+}
+
+util::Result<LeafTable> LeafTableDecoder::finish() && {
+  if (!status_.isOk()) return status_;
+  if (rows_seen_ == 0) {
+    return util::Status::invalidArgument("'" + source_ + "' is empty");
+  }
+  return std::move(table_);
 }
 
 util::Status saveSchema(const Schema& schema, const std::string& path) {

@@ -7,7 +7,9 @@
 // table round-trips without external knowledge.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataset/leaf_table.h"
@@ -22,20 +24,54 @@ namespace rap::io {
 util::Status saveLeafTable(const dataset::LeafTable& table,
                            const std::string& path);
 
-/// Reads a leaf table against a known schema.  Accepts files with or
+/// Reads a leaf table against a known schema, streaming the file in
+/// 64 KiB chunks through a LeafTableDecoder.  Accepts files with or
 /// without the trailing label column (absent -> all rows normal).
 util::Result<dataset::LeafTable> loadLeafTable(const dataset::Schema& schema,
                                                const std::string& path);
 
-/// Builds a leaf table from already-parsed CSV rows (header row first,
-/// then one leaf per row) — the shared back end of loadLeafTable and
-/// the localization service's POST bodies.  `source` names the origin
-/// in error messages ("<path>" / "request body").  Applies the same
-/// hardening as the file path: element names must exist in the schema
-/// and KPI values must be finite.
-util::Result<dataset::LeafTable> leafTableFromCsvRows(
-    const dataset::Schema& schema, const std::vector<CsvRow>& rows,
-    const std::string& source);
+/// Builds a leaf table from CSV rows handed over one at a time (header
+/// row first, then one leaf per row) — the one decoder behind
+/// loadLeafTable and the localization service's CSV and JSON bodies.
+/// Rows arrive as field views (a CsvRowCallback's argument) and are
+/// decoded on the spot; no view is kept.
+///
+/// Every row is checked: at least N+2 columns, element names known to
+/// the schema, strict numbers, finite KPI values.  A failing row's error
+/// is prefixed "<source>:<row>: " with the 1-based row among the rows
+/// delivered (header = row 1); `source` names the origin ("<path>" /
+/// "request body").  The first error sticks and later rows are ignored,
+/// so a tokenizer error further down the input still wins when the
+/// caller checks the tokenizer's Status before finish().
+class LeafTableDecoder {
+ public:
+  LeafTableDecoder(const dataset::Schema& schema, std::string source);
+
+  /// Pre-sizes the table for about `rows` leaves.
+  void reserve(std::size_t rows) { table_.reserve(rows); }
+
+  void addRow(std::span<const std::string_view> fields);
+
+  /// The decoded table, the first row error, or "'<source>' is empty"
+  /// when not even a header arrived.
+  util::Result<dataset::LeafTable> finish() &&;
+
+  /// Element fields resolved by matching the previous row's element
+  /// for that attribute instead of a dictionary lookup.
+  std::size_t reusedElements() const noexcept { return reused_elements_; }
+
+ private:
+  /// Decodes one data row; errors come without the row prefix.
+  util::Status decodeRow(std::span<const std::string_view> fields);
+
+  std::string source_;
+  dataset::LeafTable table_;
+  util::Status status_;
+  std::size_t rows_seen_ = 0;
+  /// Previous row's element per attribute (kWildcard before the first).
+  std::vector<dataset::ElemId> previous_;
+  std::size_t reused_elements_ = 0;
+};
 
 /// Schema sidecar: one row per attribute, "name,elem1,elem2,...".
 util::Status saveSchema(const dataset::Schema& schema, const std::string& path);

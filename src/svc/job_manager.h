@@ -212,9 +212,11 @@ class JobManager {
     std::string result_json;
     std::string error;
   };
-  /// executeImpl + circuit-breaker outcome recording.
-  ExecOutcome execute(const JobRequest& request, std::uint64_t id);
-  ExecOutcome executeImpl(const JobRequest& request, std::uint64_t id);
+  /// executeImpl + circuit-breaker outcome recording.  Both consume
+  /// `request.table` (moved out, localized in place); the rest of the
+  /// request stays intact for JobStatus.
+  ExecOutcome execute(JobRequest& request, std::uint64_t id);
+  ExecOutcome executeImpl(JobRequest& request, std::uint64_t id);
 
   /// Shared admission tail of submit()/resubmit(); `privileged` skips
   /// the capacity and overload gates.

@@ -16,21 +16,19 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Renders a JSON number the way the CSV reader expects a KPI field, with
-/// enough digits to round-trip a double exactly.
-std::string numberToField(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return std::string(buf);
-}
-
 }  // namespace
 
 util::Result<dataset::LeafTable> parseCsvSnapshot(
     const dataset::Schema& schema, const std::string& body) {
-  auto rows = io::parseCsv(body);
-  if (!rows.isOk()) return rows.status();
-  return io::leafTableFromCsvRows(schema, rows.value(), "request body");
+  io::LeafTableDecoder decoder(schema, "request body");
+  const io::CsvRowCallback decode =
+      [&decoder](std::span<const std::string_view> row) {
+        decoder.addRow(row);
+      };
+  io::CsvStreamParser parser;
+  RAP_RETURN_IF_ERROR(parser.feed(body, decode));
+  RAP_RETURN_IF_ERROR(parser.finish(decode));
+  return std::move(decoder).finish();
 }
 
 util::Result<dataset::LeafTable> parseJsonSnapshot(
@@ -44,21 +42,19 @@ util::Result<dataset::LeafTable> parseJsonSnapshot(
         "array");
   }
 
-  // Re-shape into the CSV row layout and funnel through the shared
-  // validator so JSON and CSV bodies hit identical schema/finite checks.
+  // Each row goes through the CSV decoder as the fields a CSV body would
+  // carry, so JSON and CSV bodies hit identical schema/finite checks.
+  // Shape errors are returned at once; a decode error only at the end,
+  // so a malformed row anywhere wins over a bad value, as in CSV.
   const auto attr_count = static_cast<std::size_t>(schema.attributeCount());
-  std::vector<io::CsvRow> csv_rows;
-  csv_rows.reserve(rows->array_value.size() + 1);
-  io::CsvRow header;
-  header.reserve(attr_count + 3);
-  for (std::size_t a = 0; a < attr_count; ++a) {
-    header.push_back(schema.attribute(static_cast<dataset::AttrId>(a)).name());
-  }
-  header.push_back("real");
-  header.push_back("predict");
-  header.push_back("label");
-  csv_rows.push_back(std::move(header));
-
+  io::LeafTableDecoder decoder(schema, "request body");
+  decoder.reserve(rows->array_value.size());
+  decoder.addRow({});  // the header row a CSV body starts with
+  std::vector<std::string_view> fields;
+  fields.reserve(attr_count + 3);
+  // A JSON number becomes the field text the CSV reader would see, with
+  // enough digits to round-trip the double exactly.
+  char numbers[3][32];
   for (std::size_t i = 0; i < rows->array_value.size(); ++i) {
     const JsonValue& row = rows->array_value[i];
     if (!row.isArray()) {
@@ -71,8 +67,7 @@ util::Result<dataset::LeafTable> parseJsonSnapshot(
           "request body: rows[%zu] has %zu fields, expected %zu or %zu", i,
           n, attr_count + 2, attr_count + 3));
     }
-    io::CsvRow out;
-    out.reserve(attr_count + 3);
+    fields.clear();
     for (std::size_t c = 0; c < n; ++c) {
       const JsonValue& cell = row.array_value[c];
       if (c < attr_count) {
@@ -81,23 +76,26 @@ util::Result<dataset::LeafTable> parseJsonSnapshot(
               "request body: rows[%zu][%zu] must be an element-name string",
               i, c));
         }
-        out.push_back(cell.string_value);
+        fields.push_back(cell.string_value);
       } else if (cell.isNumber()) {
-        out.push_back(numberToField(cell.number_value));
+        char* text = numbers[c - attr_count];
+        const int len =
+            std::snprintf(text, sizeof(numbers[0]), "%.17g", cell.number_value);
+        fields.emplace_back(text, static_cast<std::size_t>(len));
       } else if (cell.isString()) {
         // Numeric strings are accepted so a proxy can forward CSV fields
-        // without re-typing them; the CSV validator rejects non-numeric
-        // content downstream.
-        out.push_back(cell.string_value);
+        // without re-typing them; the decoder rejects non-numeric
+        // content.
+        fields.push_back(cell.string_value);
       } else {
         return util::Status::invalidArgument(util::strFormat(
             "request body: rows[%zu][%zu] must be a number", i, c));
       }
     }
-    if (n == attr_count + 2) out.push_back("0");
-    csv_rows.push_back(std::move(out));
+    if (n == attr_count + 2) fields.push_back("0");
+    decoder.addRow(fields);
   }
-  return io::leafTableFromCsvRows(schema, csv_rows, "request body");
+  return std::move(decoder).finish();
 }
 
 std::uint64_t fnv1a(std::string_view bytes) noexcept {

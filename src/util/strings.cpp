@@ -2,9 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace rap::util {
 
@@ -53,8 +56,27 @@ bool endsWith(std::string_view text, std::string_view suffix) noexcept {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
+// Both parsers try std::from_chars on the trimmed view first — no copy,
+// no locale — and keep its answer only when it consumed every byte and
+// (for doubles) landed on zero or a finite value above the smallest
+// normal.  Everything else ('+1', hex, "inf", subnormals, overflow,
+// garbage) takes the strtod / strtoll path below, so accepted inputs,
+// values and error messages are exactly those of the C library parse.
+// DBL_MIN itself goes there too: strtod reports ERANGE for an input
+// just below it that rounds up to it.
+
 Result<double> parseDouble(std::string_view text) {
-  const std::string buf{trim(text)};
+  const std::string_view view = trim(text);
+  double fast = 0.0;
+  const auto [end_fast, ec] =
+      std::from_chars(view.data(), view.data() + view.size(), fast);
+  if (ec == std::errc() && end_fast == view.data() + view.size() &&
+      ((std::isfinite(fast) &&
+        std::fabs(fast) > std::numeric_limits<double>::min()) ||
+       fast == 0.0)) {
+    return fast;
+  }
+  const std::string buf{view};
   if (buf.empty()) return Status::invalidArgument("empty number");
   errno = 0;
   char* end = nullptr;
@@ -69,7 +91,12 @@ Result<double> parseDouble(std::string_view text) {
 }
 
 Result<std::int64_t> parseInt(std::string_view text) {
-  const std::string buf{trim(text)};
+  const std::string_view view = trim(text);
+  std::int64_t fast = 0;
+  const auto [end_fast, ec] =
+      std::from_chars(view.data(), view.data() + view.size(), fast);
+  if (ec == std::errc() && end_fast == view.data() + view.size()) return fast;
+  const std::string buf{view};
   if (buf.empty()) return Status::invalidArgument("empty integer");
   errno = 0;
   char* end = nullptr;

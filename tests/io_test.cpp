@@ -111,9 +111,10 @@ TEST(CsvFile, MissingFileIsNotFound) {
 util::Result<std::vector<CsvRow>> streamInChunks(const std::string& text,
                                                  std::size_t chunk_size) {
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
-  };
+  const CsvRowCallback collect =
+      [&rows](std::span<const std::string_view> row) {
+        rows.emplace_back(row.begin(), row.end());
+      };
   CsvStreamParser parser;
   for (std::size_t i = 0; i < text.size(); i += chunk_size) {
     const auto status =
@@ -142,9 +143,10 @@ TEST(CsvStream, EveryChunkSizeMatchesBatchParse) {
 TEST(CsvStream, RowsArriveAsTheyComplete) {
   CsvStreamParser parser;
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
-  };
+  const CsvRowCallback collect =
+      [&rows](std::span<const std::string_view> row) {
+        rows.emplace_back(row.begin(), row.end());
+      };
   ASSERT_TRUE(parser.feed("a,b\nc,", collect).isOk());
   EXPECT_EQ(rows.size(), 1u);  // the second row is still open
   ASSERT_TRUE(parser.feed("d\n", collect).isOk());
@@ -156,7 +158,7 @@ TEST(CsvStream, RowsArriveAsTheyComplete) {
 
 TEST(CsvStream, ErrorsCarryGlobalOffsets) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](std::span<const std::string_view>) {};
   ASSERT_TRUE(parser.feed("x,y\na", ignore).isOk());
   const auto status = parser.feed("b\"c", ignore);
   ASSERT_FALSE(status.isOk());
@@ -170,7 +172,7 @@ TEST(CsvStream, ErrorsCarryGlobalOffsets) {
 
 TEST(CsvStream, UnterminatedQuoteFailsAtFinish) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](std::span<const std::string_view>) {};
   ASSERT_TRUE(parser.feed("\"open", ignore).isOk());
   const auto status = parser.finish(ignore);
   ASSERT_FALSE(status.isOk());
@@ -180,9 +182,10 @@ TEST(CsvStream, UnterminatedQuoteFailsAtFinish) {
 TEST(CsvStream, FinishResetsForReuse) {
   CsvStreamParser parser;
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
-  };
+  const CsvRowCallback collect =
+      [&rows](std::span<const std::string_view> row) {
+        rows.emplace_back(row.begin(), row.end());
+      };
   ASSERT_TRUE(parser.feed("a,b", collect).isOk());
   ASSERT_TRUE(parser.finish(collect).isOk());
   ASSERT_TRUE(parser.feed("c,d", collect).isOk());
@@ -197,14 +200,14 @@ TEST_F(TempDir, StreamCsvFileDeliversEveryRow) {
       {"h1", "h2"}, {"quoted,comma", "line\nbreak"}, {"1", "2"}};
   ASSERT_TRUE(writeCsvFile(path("s.csv"), rows).isOk());
   std::vector<CsvRow> streamed;
-  ASSERT_TRUE(streamCsvFile(path("s.csv"), [&streamed](CsvRow&& row) {
-                streamed.push_back(std::move(row));
+  ASSERT_TRUE(streamCsvFile(path("s.csv"), [&streamed](std::span<const std::string_view> row) {
+                streamed.emplace_back(row.begin(), row.end());
               }).isOk());
   EXPECT_EQ(streamed, rows);
 }
 
 TEST(CsvStreamFile, MissingFileIsNotFound) {
-  const auto status = streamCsvFile("/nonexistent/file.csv", [](CsvRow&&) {});
+  const auto status = streamCsvFile("/nonexistent/file.csv", [](std::span<const std::string_view>) {});
   EXPECT_EQ(status.code(), util::StatusCode::kNotFound);
 }
 
@@ -212,7 +215,7 @@ TEST(CsvStreamFile, MissingFileIsNotFound) {
 
 TEST(CsvHardening, EmbeddedNulIsRejectedWithRowContext) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](std::span<const std::string_view>) {};
   const std::string input = std::string("ok,row\nbad") + '\0' + "field";
   const auto status = parser.feed(input, ignore);
   ASSERT_EQ(status.code(), util::StatusCode::kInvalidArgument);
@@ -221,7 +224,7 @@ TEST(CsvHardening, EmbeddedNulIsRejectedWithRowContext) {
 
 TEST(CsvHardening, OverLongFieldIsRejectedNotBuffered) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](std::span<const std::string_view>) {};
   // Stay a hair under the limit, then push one byte past it in a later
   // chunk: the limit spans chunk boundaries.
   const std::string almost(CsvStreamParser::kMaxFieldBytes, 'x');
@@ -234,7 +237,7 @@ TEST(CsvHardening, OverLongFieldIsRejectedNotBuffered) {
 
 TEST(CsvHardening, OverLongQuotedFieldIsRejected) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](std::span<const std::string_view>) {};
   ASSERT_TRUE(parser.feed("\"", ignore).isOk());
   const std::string big(CsvStreamParser::kMaxFieldBytes + 1, 'y');
   const auto status = parser.feed(big, ignore);
@@ -244,9 +247,10 @@ TEST(CsvHardening, OverLongQuotedFieldIsRejected) {
 TEST(CsvHardening, FieldAtTheLimitStillParses) {
   CsvStreamParser parser;
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
-  };
+  const CsvRowCallback collect =
+      [&rows](std::span<const std::string_view> row) {
+        rows.emplace_back(row.begin(), row.end());
+      };
   const std::string max_field(CsvStreamParser::kMaxFieldBytes, 'z');
   ASSERT_TRUE(parser.feed(max_field + ",b\n", collect).isOk());
   ASSERT_TRUE(parser.finish(collect).isOk());
@@ -377,6 +381,17 @@ TEST_F(TempDir, DatasetDirectoryRoundTrip) {
   EXPECT_EQ(loaded->cases[0].table.size(), schema.leafCount());
   EXPECT_EQ(loaded->cases[1].truth, truth[1].raps);
   EXPECT_EQ(loaded->schema.attributeCount(), schema.attributeCount());
+}
+
+TEST_F(TempDir, LeafTableNamesTheRowOfABadKpiNumber) {
+  const std::vector<CsvRow> rows{{"A", "B", "C", "D", "real", "predict"},
+                                 {"a1", "b1", "c1", "d1", "1", "2"},
+                                 {"a2", "b1", "c1", "d1", "1", "x"}};
+  ASSERT_TRUE(writeCsvFile(path("badnum.csv"), rows).isOk());
+  const auto loaded = loadLeafTable(Schema::tiny(), path("badnum.csv"));
+  ASSERT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.status().message(),
+            path("badnum.csv") + ":3: not a number: 'x'");
 }
 
 TEST_F(TempDir, LeafTableRejectsNonFiniteKpiWithRowContext) {

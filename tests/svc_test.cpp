@@ -1166,6 +1166,74 @@ TEST_F(JournalDir, KillDashNineLosesNoAcceptedJobs) {
   }
 }
 
+TEST_F(JournalDir, SyncAsyncAndReplayedJobsRenderTheSameResult) {
+  // Each path runs its own search (three services, three caches): the
+  // inline job localizes its request's table, the queued job moves its
+  // table out when it starts, the replayed job decodes the journaled
+  // body again.  The result documents agree byte for byte up to the
+  // stats tail, whose stage timings differ run to run.
+  const auto schema = dataset::Schema::tiny();
+  const std::string body = csvBodyOf(demoTable(schema));
+
+  svc::LocalizeService sync_service(schema, core::RapMinerConfig{},
+                                    smallServiceOptions());
+  const auto sync = sync_service.handleLocalize(postRequest(body, "mode=sync"));
+  ASSERT_EQ(sync.status, 200) << sync.body;
+  ASSERT_NE(sync.body.find("(*, b2, *, *)"), std::string::npos);
+
+  svc::LocalizeService async_service(schema, core::RapMinerConfig{},
+                                     smallServiceOptions());
+  const auto accepted = async_service.handleLocalize(
+      postRequest(body, "mode=async&priority=4&deadline=5"));
+  ASSERT_EQ(accepted.status, 202) << accepted.body;
+  async_service.jobs().drain();
+  const auto async = async_service.jobs().status(1);
+  ASSERT_TRUE(async.has_value());
+  EXPECT_EQ(async->state, svc::JobState::kDone);
+  EXPECT_FALSE(async->cache_hit);
+  // The request fields JobStatus reports outlive the consumed table.
+  EXPECT_EQ(async->priority, 4);
+  EXPECT_EQ(async->deadline_seconds, 5.0);
+
+  auto journal = svc::JobJournal::open({.path = path("jobs.rapjrnl")});
+  ASSERT_TRUE(journal.isOk());
+  svc::LocalizeService::Options options = smallServiceOptions();
+  options.journal = journal->get();
+  svc::LocalizeService replay_service(schema, core::RapMinerConfig{}, options);
+  svc::JobJournal::Record record;
+  record.tenant = "default";
+  record.content_type = "csv";
+  record.query = "mode=async";
+  record.body = body;
+  const auto record_id = (*journal)->append(record);
+  ASSERT_TRUE(record_id.isOk());
+  record.id = *record_id;
+  const auto replayed_id = replay_service.replayJob(record);
+  ASSERT_TRUE(replayed_id.isOk()) << replayed_id.status().toString();
+  replay_service.jobs().drain();
+  const auto replayed = replay_service.jobs().status(*replayed_id);
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_EQ(replayed->state, svc::JobState::kDone);
+  EXPECT_FALSE(replayed->cache_hit);
+
+  EXPECT_EQ(patternsOf(async->result_json), patternsOf(sync.body));
+  EXPECT_EQ(patternsOf(replayed->result_json), patternsOf(sync.body));
+}
+
+TEST(LocalizeService, BadKpiNumberIsA400NamingItsRow) {
+  const auto schema = dataset::Schema::tiny();
+  svc::LocalizeService service(schema, core::RapMinerConfig{},
+                               smallServiceOptions());
+  const auto reply = service.handleLocalize(postRequest(
+      "A,B,C,D,real,predict\na1,b1,c1,d1,1,1\na2,b1,c1,d1,x,1\n"));
+  EXPECT_EQ(reply.status, 400);
+  EXPECT_NE(reply.body.find("\"code\":\"bad_snapshot\""), std::string::npos)
+      << reply.body;
+  EXPECT_NE(reply.body.find("request body:3: not a number: 'x'"),
+            std::string::npos)
+      << reply.body;
+}
+
 TEST(LocalizeService, DeadlineValidatedAndClampedToTenantMax) {
   const auto schema = dataset::Schema::tiny();
   svc::LocalizeService::Options options = smallServiceOptions();
