@@ -238,13 +238,10 @@ LocalizationResult RapMiner::localize(const dataset::LeafTable& table,
     // tables reuse the kernel transpose and aggregation scratch.
     WorkspacePool::Lease lease =
         (workspaces != nullptr ? *workspaces : *workspaces_).lease();
-    if (pool != nullptr && pool->threadCount() > 0) {
-      result.patterns = acGuidedSearchParallel(
-          table, kept, config_.search, *pool, lease.get(), result.stats);
-    } else {
-      result.patterns = acGuidedSearch(table, kept, config_.search,
-                                       lease.get(), result.stats);
-    }
+    result.patterns = acGuidedSearch(
+        table, kept, config_.search, lease.get(),
+        pool != nullptr && pool->threadCount() > 0 ? pool : nullptr,
+        result.stats);
   }
   result.stats.seconds_search = stage_timer.elapsedSeconds();
   result.degraded = !result.stats.degraded_reason.empty();

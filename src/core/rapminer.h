@@ -52,32 +52,6 @@ struct RapMinerConfig {
   ParallelConfig parallel;  ///< within-layer cuboid fan-out
 };
 
-/// Pre-PR3 flat configuration shape, kept for one release so downstream
-/// code migrates at its own pace.  Converts to the nested shape; the
-/// conversion is deprecated, the fields map 1:1:
-///   t_cp, enable_attribute_deletion -> cp.*
-///   t_conf, early_stop, cuboid_order -> search.{t_conf, early_stop, order}
-struct LegacyRapMinerConfig {
-  double t_cp = 0.0005;
-  double t_conf = 0.8;
-  bool enable_attribute_deletion = true;
-  bool early_stop = true;
-  CuboidOrder cuboid_order = CuboidOrder::kCpWeighted;
-
-  [[deprecated(
-      "flat RapMinerConfig is deprecated; use the nested "
-      "RapMinerConfig{cp, search, parallel}")]]
-  operator RapMinerConfig() const {  // NOLINT: implicit by design (shim)
-    RapMinerConfig config;
-    config.cp.t_cp = t_cp;
-    config.cp.enable_attribute_deletion = enable_attribute_deletion;
-    config.search.t_conf = t_conf;
-    config.search.early_stop = early_stop;
-    config.search.order = cuboid_order;
-    return config;
-  }
-};
-
 class RapMiner {
  public:
   /// Aborts (RAP_CHECK) on out-of-range thresholds — construction from a

@@ -150,7 +150,9 @@ void markAccepted(SearchWorkspace& ws, CuboidMask mask) {
   }
 }
 
-/// Shared Algorithm 2 driver.  The two schedules differ only in how a
+}  // namespace
+
+/// The Algorithm 2 driver.  The two schedules differ only in how a
 /// layer's per-cuboid groups are produced: the serial path aggregates
 /// them lazily inside the merge loop (so an early stop skips the rest of
 /// the layer entirely), the parallel path precomputes the whole layer via
@@ -167,9 +169,9 @@ void markAccepted(SearchWorkspace& ws, CuboidMask mask) {
 /// key.  Combinations are built only for accepted candidates.  All
 /// memory lives in `ws`, so a retained workspace makes the steady state
 /// allocation-free apart from the returned candidates.
-std::vector<ScoredPattern> searchImpl(
+std::vector<ScoredPattern> acGuidedSearch(
     const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool* pool, SearchWorkspace& ws,
+    const SearchConfig& config, SearchWorkspace& ws, util::ThreadPool* pool,
     SearchStats& stats) {
   // Deadline bookkeeping: one timer read per cuboid, and only when a
   // deadline is configured — the default (0 = none) costs one branch.
@@ -322,8 +324,6 @@ std::vector<ScoredPattern> searchImpl(
   return candidates;
 }
 
-}  // namespace
-
 std::int32_t resolveThreads(std::int32_t threads) noexcept {
   if (threads > 0) return threads;
   return std::max(1, static_cast<std::int32_t>(
@@ -351,36 +351,6 @@ void WorkspacePool::release(std::unique_ptr<SearchWorkspace> ws) {
 std::size_t WorkspacePool::retained() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return free_.size();
-}
-
-std::vector<ScoredPattern> acGuidedSearch(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, SearchStats& stats) {
-  SearchWorkspace workspace;
-  return searchImpl(table, kept_attributes, config, /*pool=*/nullptr,
-                    workspace, stats);
-}
-
-std::vector<ScoredPattern> acGuidedSearch(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, SearchWorkspace& workspace,
-    SearchStats& stats) {
-  return searchImpl(table, kept_attributes, config, /*pool=*/nullptr,
-                    workspace, stats);
-}
-
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool, SearchStats& stats) {
-  SearchWorkspace workspace;
-  return searchImpl(table, kept_attributes, config, &pool, workspace, stats);
-}
-
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool,
-    SearchWorkspace& workspace, SearchStats& stats) {
-  return searchImpl(table, kept_attributes, config, &pool, workspace, stats);
 }
 
 }  // namespace rap::core

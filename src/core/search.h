@@ -13,17 +13,19 @@
 // Support counts come from dataset::GroupByKernel: per-attribute element
 // code columns are transposed once per search (reusing the capacity of a
 // retained SearchWorkspace across searches), and each cuboid is then
-// aggregated in a single sparse mixed-radix pass — touched cells only —
-// instead of per-row AttributeCombination probing.  Groups stay integer
+// aggregated into (total, anomalous) counts in a single fused pass —
+// keys computed in registers, touched cells only — instead of per-row
+// AttributeCombination probing.  Groups stay integer
 // keys plus counts through the merge: Criteria 3 probes a group's
 // representative row against per-row bitsets of accepted cuboids, the
 // early stop compares row keys, and AttributeCombinations are built
 // only for accepted candidates (docs/algorithms.md, "Key-space merge").
 //
-// Two schedules produce bit-identical results:
-//   * acGuidedSearch        — the serial reference implementation;
-//   * acGuidedSearchParallel — evaluates each layer's cuboids
-//     concurrently on a util::ThreadPool, then replays Criteria 2/3
+// One entry point, acGuidedSearch, runs two schedules that produce
+// bit-identical results:
+//   * serial (no pool) — the reference implementation;
+//   * parallel (a util::ThreadPool) — evaluates each layer's cuboids
+//     concurrently on the pool, then replays Criteria 2/3
 //     acceptance, pruning and the early stop in the canonical visit
 //     order during a deterministic single-threaded merge.  Acceptance
 //     decisions only ever depend on candidates from strictly lower
@@ -177,40 +179,23 @@ class WorkspacePool {
 /// output of Algorithm 1; its order determines cuboid visit order).
 /// Returns all candidate RAPs with confidence and layer filled in; the
 /// caller ranks them (Eq. 3) and truncates to k.  `stats` accumulates
-/// search-effort counters.  Serial reference schedule.
-std::vector<ScoredPattern> acGuidedSearch(
-    const dataset::LeafTable& table,
-    const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, SearchStats& stats);
-
-/// Same, but aggregating through a caller-retained workspace: the
-/// kernel transpose reuses the workspace's column capacity and every
-/// per-cuboid buffer is recycled, so repeated searches over same-shaped
-/// tables allocate nothing in the hot path.  Results are bit-identical
-/// to the workspace-free overload.
+/// search-effort counters.
+///
+/// Aggregation runs through `workspace`: the kernel transpose reuses its
+/// column capacity and every per-cuboid buffer is recycled, so repeated
+/// searches over same-shaped tables allocate nothing in the hot path.
+/// With `pool` == nullptr the search is the serial reference schedule;
+/// otherwise each layer's cuboid aggregations fan out across `pool` (the
+/// calling thread participates too, each worker with its own scratch
+/// from the workspace) and the results are bit-identical to the serial
+/// schedule.  The pool must not be used for tasks that block on this
+/// search.  When a layer early-stops mid-way, aggregations computed past
+/// the stop point are discarded, so stats match the serial schedule
+/// exactly.
 std::vector<ScoredPattern> acGuidedSearch(
     const dataset::LeafTable& table,
     const std::vector<dataset::AttrId>& kept_attributes,
     const SearchConfig& config, SearchWorkspace& workspace,
-    SearchStats& stats);
-
-/// Same search, same results bit for bit, but each layer's cuboid
-/// aggregations fan out across `pool` (the calling thread participates
-/// too).  The pool must not be used for tasks that block on this search.
-/// When the layer early-stops mid-way, aggregations computed past the
-/// stop point are discarded, so stats match the serial schedule exactly.
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const dataset::LeafTable& table,
-    const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool, SearchStats& stats);
-
-/// Parallel schedule through a caller-retained workspace (per-worker
-/// scratches live in the workspace; the kernel is shared read-only by
-/// all fan-out workers).
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const dataset::LeafTable& table,
-    const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool,
-    SearchWorkspace& workspace, SearchStats& stats);
+    util::ThreadPool* pool, SearchStats& stats);
 
 }  // namespace rap::core

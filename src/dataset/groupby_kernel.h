@@ -4,11 +4,16 @@
 // heap-allocated slot vector) for every cuboid it aggregates, so a search
 // that visits many cuboids pays the pointer-chasing cost over and over.
 // The kernel pays it once: at construction (or rebind()) it transposes
-// the table into per-attribute element-code columns (plus flat
-// anomaly/value columns), and each aggregation then runs column-sweep
-// passes over contiguous memory — one pass per member attribute to build
-// the mixed-radix projection keys, one final pass to scatter the rows
-// into a flat (total, anomalous, v_sum, f_sum) accumulation array.
+// the table into per-attribute element-code columns plus a flat anomaly
+// column, and each aggregation is then one fused pass over contiguous
+// memory — per row, the mixed-radix projection key is computed in
+// registers from the member columns and the row is scattered into its
+// cell in the same loop, so no per-row key array is written or read.
+//
+// Algorithm 2 only needs Confidence = anomalous / total per group, so a
+// cell is two 32-bit counts packed into one word; the KPI sums (Σv, Σf)
+// exist only on the decoded GroupAggregate overload, which harnesses
+// use and which re-reads the bound table for them.
 //
 // groupByInto(mask, scratch, out) is the aggregation entry point.  The
 // caller supplies a GroupByScratch whose dense array is zero-filled only
@@ -21,15 +26,14 @@
 // `micro_primitives --assert-zero-alloc` in CI.
 //
 // Output contract: groups come out in ascending projection-key order as
-// plain data (CuboidGroup: key, representative row, counts, sums) —
-// no AttributeCombination is built on the hot path; combination()
+// plain data (CuboidGroup: key, representative row, counts) — no
+// AttributeCombination is built on the hot path; combination()
 // materializes one on demand.  Keys, counts and order are identical to
-// LeafTable::groupBy(mask) and, because rows are accumulated into
-// per-cell sums in the same row order, so are the floating-point sums.
-// The kernel is immutable between rebind()s and safe to share across
-// threads as long as each thread brings its own scratch (the parallel
-// layer search of core::acGuidedSearch aggregates disjoint cuboids
-// concurrently through one kernel with per-worker scratches).
+// LeafTable::groupBy(mask).  The kernel is immutable between rebind()s
+// and safe to share across threads as long as each thread brings its
+// own scratch (the parallel layer search of core::acGuidedSearch
+// aggregates disjoint cuboids concurrently through one kernel with
+// per-worker scratches).
 #pragma once
 
 #include <cstdint>
@@ -39,14 +43,6 @@
 #include "dataset/leaf_table.h"
 
 namespace rap::dataset {
-
-/// One accumulation cell of the dense group-by array.
-struct GroupCell {
-  std::uint32_t total = 0;
-  std::uint32_t anomalous = 0;
-  double v_sum = 0.0;
-  double f_sum = 0.0;
-};
 
 /// One non-empty group of a cuboid aggregation, as plain data.  `key` is
 /// the group's mixed-radix projection key (LeafTable::projectionKey) and
@@ -58,8 +54,6 @@ struct CuboidGroup {
   RowId row = 0;
   std::uint32_t total = 0;
   std::uint32_t anomalous = 0;
-  double v_sum = 0.0;
-  double f_sum = 0.0;
 
   double confidence() const noexcept {
     return total == 0 ? 0.0
@@ -75,8 +69,11 @@ struct CuboidGroup {
 /// kernel restores both before returning).  A scratch serves one thread
 /// at a time; give each worker its own.
 struct GroupByScratch {
-  std::vector<std::uint64_t> keys;     ///< [row] projection keys
-  std::vector<GroupCell> dense;        ///< [key] accumulation cells
+  /// [row] projection keys, for the sort fallback and the
+  /// GroupAggregate overload (the dense path keeps keys in registers).
+  std::vector<std::uint64_t> keys;
+  /// [key] accumulation cells: total << 32 | anomalous.
+  std::vector<std::uint64_t> dense;
   /// Cells written by this call, packed (key << 32 | first row); the
   /// sparse fallback reuses it as a row permutation.
   std::vector<std::uint64_t> touched;
@@ -112,24 +109,27 @@ class GroupByKernel {
   std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
                           std::vector<CuboidGroup>& out) const;
 
-  /// Decoded form for harnesses that want combinations: the same groups
-  /// as table().groupBy(mask), element for element and bit for bit, in
-  /// `out[0 .. returned count)`.  `out` only ever grows so the
-  /// combinations of stale entries are rewritten in place on reuse.
+  /// Decoded form for harnesses that want combinations and KPI sums: the
+  /// same groups as table().groupBy(mask), element for element and bit
+  /// for bit, in `out[0 .. returned count)`.  The sums come from one
+  /// row-order pass over the bound table, as in LeafTable::groupBy.
+  /// `out` only ever grows so the combinations of stale entries are
+  /// rewritten in place on reuse.
   std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
                           std::vector<GroupAggregate>& out) const;
 
   /// Writes the projection key of every row onto `mask` into
   /// `keys[0 .. rowCount())` (resized; capacity retained) — the keys
-  /// groupByInto groups by.
+  /// groupByInto groups by (its dense path computes them in registers).
   void projectionKeys(CuboidMask mask, std::vector<std::uint64_t>& keys) const;
 
   /// The projection of row `row` onto `mask`: its elements on the
   /// cuboid's attributes, wildcards elsewhere.
   AttributeCombination combination(CuboidMask mask, RowId row) const;
 
-  /// Support counts of a single combination (column scan; used by tests
-  /// to cross-check against InvertedIndex::aggregateFor).
+  /// Support counts and sums of a single combination (column scan plus
+  /// the table's KPIs; used by tests to cross-check against
+  /// InvertedIndex::aggregateFor).
   GroupAggregate aggregateFor(const AttributeCombination& ac) const;
 
  private:
@@ -140,8 +140,6 @@ class GroupByKernel {
   // columns_[attr][row] — element code of `row` in attribute `attr`.
   std::vector<std::vector<std::uint32_t>> columns_;
   std::vector<std::uint8_t> anomalous_;  ///< [row] 0/1 verdicts
-  std::vector<double> v_;                ///< [row] actual values
-  std::vector<double> f_;                ///< [row] forecast values
 };
 
 }  // namespace rap::dataset

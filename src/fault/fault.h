@@ -7,6 +7,7 @@
 //   stream.seal     — sealer thread, before a sealed window is processed
 //   stream.localize — localization pool, before RapMiner::localize
 //   io.csv_chunk    — streamCsvFile, before each chunk is fed
+//   io.atomic_replace — io::atomicReplaceFile, between write and rename
 //   search.layer    — Algorithm 2, at the top of each cuboid layer
 //   svc.submit      — svc::JobManager::submit, before admission
 //   svc.execute     — service worker, before cache lookup and search

@@ -1,10 +1,10 @@
 #include "io/checkpoint.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "io/atomic_file.h"
 #include "util/strings.h"
 
 namespace rap::io {
@@ -44,22 +44,7 @@ util::Status saveStreamCheckpoint(const StreamCheckpoint& checkpoint,
   }
   out << "end\n";
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      return util::Status::notFound("cannot open '" + tmp + "' for writing");
-    }
-    file << out.str();
-    if (!file.flush()) {
-      return util::Status::internal("write to '" + tmp + "' failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return util::Status::internal("rename '" + tmp + "' -> '" + path +
-                                  "' failed");
-  }
-  return util::Status::ok();
+  return atomicReplaceFile(path, out.str());
 }
 
 util::Result<StreamCheckpoint> loadStreamCheckpoint(const std::string& path) {

@@ -59,8 +59,9 @@ struct StreamCheckpoint {
   std::vector<Fragment> fragments;
 };
 
-/// Atomic-ish save: writes "<path>.tmp" then renames over `path`, so a
-/// crash mid-write never leaves a truncated checkpoint behind.
+/// Durable save through io::atomicReplaceFile (tmp file, fsync, rename,
+/// directory fsync), so a crash at any point leaves either the previous
+/// checkpoint or this one, never a truncated file.
 util::Status saveStreamCheckpoint(const StreamCheckpoint& checkpoint,
                                   const std::string& path);
 

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "fault/fault.h"
+#include "io/atomic_file.h"
 #include "obs/metrics.h"
 #include "svc/catalog.h"
 #include "svc/snapshot.h"
@@ -28,20 +29,6 @@ constexpr char kHeader[] = "RAPJRNL 1\n";
 util::Status errnoStatus(const std::string& what, const std::string& path) {
   return util::Status::internal(what + " '" + path +
                                 "': " + std::strerror(errno));
-}
-
-/// Full write with EINTR/partial-write handling.
-bool writeAll(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -196,21 +183,8 @@ util::Status JobJournal::compactLocked() {
   std::string content = kHeader;
   for (const auto& [id, record] : live_) content += renderLocked(record);
 
-  const std::string tmp = options_.path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return errnoStatus("cannot create", tmp);
-  if (!writeAll(fd, content.data(), content.size())) {
-    ::close(fd);
-    return errnoStatus("cannot write", tmp);
-  }
-  if (options_.fsync && ::fsync(fd) != 0) {
-    ::close(fd);
-    return errnoStatus("cannot fsync", tmp);
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), options_.path.c_str()) != 0) {
-    return errnoStatus("cannot rename into", options_.path);
-  }
+  RAP_RETURN_IF_ERROR(
+      io::atomicReplaceFile(options_.path, content, options_.fsync));
 
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(options_.path.c_str(), O_WRONLY | O_APPEND);
@@ -221,7 +195,7 @@ util::Status JobJournal::compactLocked() {
 
 util::Status JobJournal::writeLocked(const std::string& bytes) {
   if (fd_ < 0) return util::Status::internal("journal file is not open");
-  if (!writeAll(fd_, bytes.data(), bytes.size())) {
+  if (!io::writeAll(fd_, bytes)) {
     return errnoStatus("cannot append to", options_.path);
   }
   if (options_.fsync && ::fsync(fd_) != 0) {
@@ -245,8 +219,14 @@ util::Result<std::uint64_t> JobJournal::append(Record record) {
   std::lock_guard<std::mutex> lock(mutex_);
   record.id = next_id_++;
   const std::uint64_t id = record.id;
-  RAP_RETURN_IF_ERROR(writeLocked(renderLocked(record)));
+  const std::string bytes = renderLocked(record);
+  // Live before the write: a compaction the write triggers rewrites the
+  // file from live_ and must keep this record.
   live_.emplace(id, std::move(record));
+  if (util::Status written = writeLocked(bytes); !written.isOk()) {
+    live_.erase(id);
+    return written;
+  }
   if (appended_ != nullptr) appended_->increment();
   return id;
 }

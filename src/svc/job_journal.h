@@ -68,11 +68,12 @@ class JobJournal {
   struct Options {
     /// Journal file path; the directory must exist.
     std::string path;
-    /// Rewrite live records (tmp+rename) when the file exceeds this
-    /// many bytes; 0 never compacts at runtime.
+    /// Rewrite live records (io::atomicReplaceFile) when the file
+    /// exceeds this many bytes; 0 never compacts at runtime.
     std::size_t compact_bytes = 8u << 20;
-    /// fsync after every append/complete.  Tests may disable it; the
-    /// durability contract requires it on.
+    /// fsync after every append/complete, and the compacted file plus
+    /// its directory.  Tests may disable it; the durability contract
+    /// requires it on.
     bool fsync = true;
   };
 

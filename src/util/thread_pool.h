@@ -1,9 +1,15 @@
 // Minimal fixed-size thread pool plus a parallel-for helper.
 //
-// Used by the evaluation runner to fan localization cases across cores
-// during parameter sweeps.  Timing-sensitive benches stay serial (the
-// Fig. 9 harnesses measure per-case wall time); the pool is for the
-// sweeps where only the aggregate metric matters.
+// The process's executors are instances of this pool:
+//   * Algorithm 2's within-layer cuboid fan-out (core::acGuidedSearch
+//     with a pool; RapMiner owns one when parallel.threads > 1);
+//   * the service's localize workers (svc::JobManager, drawing on the
+//     tenant catalog's shared pool);
+//   * the stream engine's localization pool and its dedicated search
+//     pool (stream::StreamEngine — fan-out must not share the pool whose
+//     tasks block on it);
+//   * parallelFor, which the evaluation runner uses to fan localization
+//     cases across cores during parameter sweeps.
 #pragma once
 
 #include <condition_variable>

@@ -31,6 +31,7 @@
 #include "io/json.h"
 #include "stream/engine.h"
 #include "stream/source.h"
+#include "svc/job_journal.h"
 #include "util/rng.h"
 
 namespace rap {
@@ -567,6 +568,67 @@ TEST_F(TempDir, CsvChunkFaultSurfacesAsStatus) {
       io::streamCsvFile(path("data.csv"), [](std::span<const std::string_view>) {});
   EXPECT_EQ(status.code(), util::StatusCode::kInternal);
   EXPECT_NE(status.message().find("io.csv_chunk"), std::string::npos);
+}
+
+TEST_F(TempDir, AtomicReplaceFaultKeepsPreviousCheckpointLoadable) {
+  RAP_REQUIRE_FAULT_BUILD();
+  const std::string file = path("engine.ckpt");
+  io::StreamCheckpoint first;
+  first.shards = 2;
+  first.window_width = 60;
+  first.shard_sealed_up_to = {3, 4};
+  ASSERT_TRUE(io::saveStreamCheckpoint(first, file).isOk());
+
+  io::StreamCheckpoint second = first;
+  second.shard_sealed_up_to = {9, 9};
+  fault::FaultSpec spec;
+  spec.action = fault::Action::kError;
+  fault::Registry::instance().arm("io.atomic_replace", spec);
+  const auto status = io::saveStreamCheckpoint(second, file);
+  EXPECT_EQ(status.code(), util::StatusCode::kInternal);
+  EXPECT_EQ(fault::Registry::instance().fires("io.atomic_replace"), 1u);
+  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+
+  const auto loaded = io::loadStreamCheckpoint(file);
+  ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
+  EXPECT_EQ(loaded->shard_sealed_up_to, first.shard_sealed_up_to);
+}
+
+TEST_F(TempDir, AtomicReplaceFaultKeepsJournalLoadable) {
+  RAP_REQUIRE_FAULT_BUILD();
+  const std::string file = path("jobs.rapjrnl");
+  // compact_bytes = 1: every append compacts through atomicReplaceFile.
+  const svc::JobJournal::Options options{
+      .path = file, .compact_bytes = 1, .fsync = true};
+  svc::JobJournal::Record record;
+  record.tenant = "default";
+  record.content_type = "csv";
+  record.body = "A,B,real,predict\na1,b1,1,2\n";
+  {
+    auto journal = svc::JobJournal::open(options);
+    ASSERT_TRUE(journal.isOk()) << journal.status().toString();
+    ASSERT_TRUE((*journal)->append(record).isOk());
+    fault::FaultSpec spec;
+    spec.action = fault::Action::kError;
+    fault::Registry::instance().arm("io.atomic_replace", spec);
+    // The record reaches the append-only file; only the compaction
+    // fails, best effort, leaving that file in place.
+    record.query = "k=4";
+    ASSERT_TRUE((*journal)->append(record).isOk());
+    EXPECT_GE(fault::Registry::instance().fires("io.atomic_replace"), 1u);
+    // Reopening compacts too, so it fails while the fault is armed.
+    EXPECT_FALSE(svc::JobJournal::open(options).isOk());
+    fault::Registry::instance().disarm("io.atomic_replace");
+  }
+  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+  auto journal = svc::JobJournal::open(options);
+  ASSERT_TRUE(journal.isOk()) << journal.status().toString();
+  const auto pending = (*journal)->pending();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].query, "");
+  EXPECT_EQ(pending[1].query, "k=4");
+  EXPECT_EQ(pending[1].body, record.body);
+  EXPECT_EQ((*journal)->recoveryDropped(), 0u);
 }
 
 TEST_F(Chaos, SearchLayerFaultDegradesLocalization) {

@@ -39,6 +39,15 @@ LeafTable makeTable(const std::vector<std::string>& broken_patterns) {
   return table;
 }
 
+/// The serial Algorithm 2 schedule through a fresh workspace.
+std::vector<ScoredPattern> serialSearch(
+    const LeafTable& table, const std::vector<dataset::AttrId>& kept,
+    const SearchConfig& config, SearchStats& stats) {
+  SearchWorkspace workspace;
+  return acGuidedSearch(table, kept, config, workspace, /*pool=*/nullptr,
+                        stats);
+}
+
 // ------------------------------------------------- Classification power
 
 TEST(ClassificationPower, RapAttributeDominates) {
@@ -130,7 +139,7 @@ TEST(DecreaseRatio, MatchesLatticeCounts) {
 TEST(AcSearch, FindsSingleLayer1Rap) {
   const LeafTable table = makeTable({"(a2, *, *, *)"});
   SearchStats stats;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, {}, stats);
   ASSERT_EQ(patterns.size(), 1u);
   EXPECT_EQ(patterns[0].ac.toString(table.schema()), "(a2, *, *, *)");
   EXPECT_DOUBLE_EQ(patterns[0].confidence, 1.0);
@@ -141,7 +150,7 @@ TEST(AcSearch, FindsSingleLayer1Rap) {
 TEST(AcSearch, PrunesDescendantsOfAcceptedRap) {
   const LeafTable table = makeTable({"(a1, *, *, *)"});
   SearchStats stats;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, {}, stats);
   // Only the root pattern — none of its (fully anomalous) descendants.
   ASSERT_EQ(patterns.size(), 1u);
   for (const auto& p : patterns) {
@@ -154,7 +163,7 @@ TEST(AcSearch, FindsRapsInDifferentCuboids) {
   SearchStats stats;
   SearchConfig config;
   config.early_stop = false;  // exhaustive, to check the full candidate set
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, config, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, config, stats);
   std::vector<std::string> found;
   for (const auto& p : patterns) found.push_back(p.ac.toString(table.schema()));
   EXPECT_NE(std::find(found.begin(), found.end(), "(a1, *, *, *)"),
@@ -166,7 +175,7 @@ TEST(AcSearch, FindsRapsInDifferentCuboids) {
 TEST(AcSearch, CandidatesPairwiseNonAncestral) {
   const LeafTable table = makeTable({"(a1, *, *, *)", "(*, b2, c1, *)"});
   SearchStats stats;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, {}, stats);
   for (const auto& a : patterns) {
     for (const auto& b : patterns) {
       if (a.ac == b.ac) continue;
@@ -189,7 +198,7 @@ TEST(AcSearch, ConfidenceThresholdIsStrict) {
   SearchStats stats;
   SearchConfig config;
   config.t_conf = 0.5;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, config, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, config, stats);
   for (const auto& p : patterns) {
     EXPECT_GT(p.confidence, 0.5);
     EXPECT_FALSE(p.ac == a1);  // 0.5 is not > 0.5
@@ -202,7 +211,7 @@ TEST(AcSearch, RestrictedAttributesNeverAppear) {
   // Attribute 0 deleted: the true RAP is unreachable; whatever is found
   // must not constrain attribute 0, and nothing of confidence 1 at layer
   // 1 exists among {1, 2, 3}.
-  const auto patterns = acGuidedSearch(table, {1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {1, 2, 3}, {}, stats);
   for (const auto& p : patterns) {
     EXPECT_TRUE(p.ac.isWildcard(0));
   }
@@ -211,7 +220,7 @@ TEST(AcSearch, RestrictedAttributesNeverAppear) {
 TEST(AcSearch, EmptyKeptAttributesFindsNothing) {
   const LeafTable table = makeTable({"(a1, *, *, *)"});
   SearchStats stats;
-  EXPECT_TRUE(acGuidedSearch(table, {}, {}, stats).empty());
+  EXPECT_TRUE(serialSearch(table, {}, {}, stats).empty());
   EXPECT_EQ(stats.cuboids_visited, 0u);
 }
 
@@ -220,12 +229,12 @@ TEST(AcSearch, EarlyStopSkipsRemainingWork) {
   SearchStats eager_stats;
   SearchConfig eager;
   eager.early_stop = true;
-  acGuidedSearch(table, {0, 1, 2, 3}, eager, eager_stats);
+  serialSearch(table, {0, 1, 2, 3}, eager, eager_stats);
 
   SearchStats full_stats;
   SearchConfig full;
   full.early_stop = false;
-  acGuidedSearch(table, {0, 1, 2, 3}, full, full_stats);
+  serialSearch(table, {0, 1, 2, 3}, full, full_stats);
 
   EXPECT_TRUE(eager_stats.early_stopped);
   EXPECT_FALSE(full_stats.early_stopped);
@@ -318,8 +327,8 @@ TEST(AcSearch, NumericOrderFindsTheSameCandidates) {
 
   SearchStats s1;
   SearchStats s2;
-  auto a = acGuidedSearch(table, {0, 1, 2, 3}, cp_order, s1);
-  auto b = acGuidedSearch(table, {0, 1, 2, 3}, numeric, s2);
+  auto a = serialSearch(table, {0, 1, 2, 3}, cp_order, s1);
+  auto b = serialSearch(table, {0, 1, 2, 3}, numeric, s2);
   auto key = [](const ScoredPattern& p) { return p.ac; };
   std::vector<AttributeCombination> acs_a;
   std::vector<AttributeCombination> acs_b;
@@ -448,25 +457,6 @@ TEST(Report, LayerTableHasAMergeColumn) {
   const auto aggregate = report.find("200.00ms", row);
   ASSERT_NE(aggregate, std::string::npos);
   EXPECT_NE(report.find("300.00ms", aggregate), std::string::npos);
-}
-
-TEST(RapMinerConfig, LegacyFlatConfigConvertsToNested) {
-  LegacyRapMinerConfig flat;
-  flat.t_cp = 0.01;
-  flat.t_conf = 0.75;
-  flat.enable_attribute_deletion = false;
-  flat.early_stop = false;
-  flat.cuboid_order = CuboidOrder::kNumeric;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const RapMinerConfig nested = flat;
-#pragma GCC diagnostic pop
-  EXPECT_EQ(nested.cp.t_cp, 0.01);
-  EXPECT_EQ(nested.search.t_conf, 0.75);
-  EXPECT_FALSE(nested.cp.enable_attribute_deletion);
-  EXPECT_FALSE(nested.search.early_stop);
-  EXPECT_EQ(nested.search.order, CuboidOrder::kNumeric);
-  EXPECT_EQ(nested.parallel.threads, 1);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <iterator>
 
 #include "core/types.h"
+#include "io/atomic_file.h"
 #include "dataset/cuboid.h"
 #include "io/checkpoint.h"
 #include "io/csv.h"
@@ -38,6 +39,30 @@ class TempDir : public ::testing::Test {
  private:
   std::filesystem::path dir_;
 };
+
+// ---------------------------------------------------------- atomic file
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST_F(TempDir, AtomicReplaceCreatesThenReplacesWithoutLeavingTmp) {
+  const std::string file = path("state.txt");
+  ASSERT_TRUE(io::atomicReplaceFile(file, "first\n").isOk());
+  EXPECT_EQ(readFile(file), "first\n");
+  ASSERT_TRUE(io::atomicReplaceFile(file, "second, longer\n").isOk());
+  EXPECT_EQ(readFile(file), "second, longer\n");
+  ASSERT_TRUE(io::atomicReplaceFile(file, "", /*sync=*/false).isOk());
+  EXPECT_EQ(readFile(file), "");
+  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+}
+
+TEST_F(TempDir, AtomicReplaceIntoMissingDirectoryFailsCleanly) {
+  const auto status = io::atomicReplaceFile(path("absent/state.txt"), "x");
+  EXPECT_EQ(status.code(), util::StatusCode::kInternal);
+  EXPECT_NE(status.message().find("absent/state.txt.tmp"), std::string::npos);
+}
 
 // ------------------------------------------------------------------- CSV
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "core/rapminer.h"
@@ -82,12 +83,80 @@ TEST_P(RandomTableProperty, IndexAgreesWithScanOnRandomProbes) {
   }
 }
 
+/// Random table over a random schema of 1-10 attributes (cardinality
+/// 2-4, 2-3 beyond 8 attributes): up to 1500 rows drawn from random
+/// leaves, duplicates allowed.
+LeafTable randomWideTable(util::Rng& rng) {
+  std::vector<std::int32_t> cards;
+  const auto n_attrs = static_cast<std::int32_t>(rng.uniformInt(1, 10));
+  for (std::int32_t i = 0; i < n_attrs; ++i) {
+    cards.push_back(
+        static_cast<std::int32_t>(rng.uniformInt(2, n_attrs > 8 ? 3 : 4)));
+  }
+  const Schema schema = Schema::synthetic(cards);
+  LeafTable table(schema);
+  const auto rows = rng.uniformInt(1, 1500);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const auto leaf = static_cast<std::uint64_t>(rng.uniformInt(
+        0, static_cast<std::int64_t>(schema.leafCount()) - 1));
+    const double f = rng.uniform(1.0, 100.0);
+    const bool anomalous = rng.bernoulli(0.3);
+    table.addRow(dataset::leafFromIndex(schema, leaf),
+                 anomalous ? f * 0.5 : f, f, anomalous);
+  }
+  return table;
+}
+
+/// The kernel's contract on cuboid `mask` of its bound table: the
+/// count-only groups equal LeafTable::groupBy's in order, decoded key
+/// and counts, each carries its projection key, and the representative
+/// is the group's lowest row id.
+void expectCountOnlyGroups(const dataset::GroupByKernel& kernel,
+                           dataset::CuboidMask mask,
+                           dataset::GroupByScratch& scratch,
+                           std::vector<dataset::CuboidGroup>& actual) {
+  const LeafTable& table = kernel.table();
+  const auto expected = table.groupBy(mask);
+  ASSERT_EQ(expected.size(), kernel.groupByInto(mask, scratch, actual))
+      << "mask=" << mask;
+  std::map<std::uint64_t, dataset::RowId> lowest_row;
+  for (dataset::RowId r = 0; r < table.size(); ++r) {
+    lowest_row.emplace(table.projectionKey(r, mask), r);  // keeps the first
+  }
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const dataset::CuboidGroup& g = actual[i];
+    EXPECT_EQ(expected[i].ac, kernel.combination(mask, g.row))
+        << "mask=" << mask << " i=" << i;
+    EXPECT_EQ(g.key, table.projectionKey(g.row, mask));
+    EXPECT_EQ(g.row, lowest_row.at(g.key));
+    EXPECT_EQ(expected[i].total, g.total);
+    EXPECT_EQ(expected[i].anomalous, g.anomalous);
+    if (i > 0) {
+      EXPECT_LT(actual[i - 1].key, g.key);
+    }
+  }
+}
+
+/// The decoded overload's contract: element for element and bit for bit
+/// LeafTable::groupBy, float sums compared with ==, not a tolerance.
+void expectDecodedGroups(const dataset::GroupByKernel& kernel,
+                         dataset::CuboidMask mask,
+                         dataset::GroupByScratch& scratch,
+                         std::vector<dataset::GroupAggregate>& decoded) {
+  const auto expected = kernel.table().groupBy(mask);
+  ASSERT_EQ(expected.size(), kernel.groupByInto(mask, scratch, decoded))
+      << "mask=" << mask;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].ac, decoded[i].ac) << "mask=" << mask << " i=" << i;
+    EXPECT_EQ(expected[i].total, decoded[i].total);
+    EXPECT_EQ(expected[i].anomalous, decoded[i].anomalous);
+    EXPECT_EQ(expected[i].v_sum, decoded[i].v_sum);
+    EXPECT_EQ(expected[i].f_sum, decoded[i].f_sum);
+  }
+}
+
 TEST_P(RandomTableProperty, KernelMatchesTableGroupByBitExactly) {
-  // The kernel's contract: element-for-element identical to
-  // LeafTable::groupBy on every cuboid — the decoded key (the
-  // representative row's projection), counts and float sums (compared
-  // with ==, not a tolerance — the parallel search's bit-identity
-  // guarantee rests on this).
+  // The parallel search's bit-identity guarantee rests on this.
   util::Rng rng(GetParam() ^ 0xC0DE);
   const LeafTable table = randomTable(rng);
   const dataset::GroupByKernel kernel(table);
@@ -95,62 +164,87 @@ TEST_P(RandomTableProperty, KernelMatchesTableGroupByBitExactly) {
   std::vector<dataset::CuboidGroup> actual;
   for (const auto mask :
        dataset::allCuboidsByLayer(dataset::allAttributesMask(table.schema()))) {
-    const auto expected = table.groupBy(mask);
-    ASSERT_EQ(expected.size(), kernel.groupByInto(mask, scratch, actual))
-        << "mask=" << mask;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      const dataset::CuboidGroup& g = actual[i];
-      EXPECT_EQ(expected[i].ac, kernel.combination(mask, g.row));
-      EXPECT_EQ(g.key, table.projectionKey(g.row, mask));
-      EXPECT_EQ(expected[i].total, g.total);
-      EXPECT_EQ(expected[i].anomalous, g.anomalous);
-      EXPECT_EQ(expected[i].v_sum, g.v_sum);
-      EXPECT_EQ(expected[i].f_sum, g.f_sum);
-      // The representative is the group's lowest row id.
-      for (dataset::RowId r = 0; r < g.row; ++r) {
-        EXPECT_NE(table.projectionKey(r, mask), g.key);
-      }
-    }
+    expectCountOnlyGroups(kernel, mask, scratch, actual);
+  }
+}
+
+TEST_P(RandomTableProperty, CountOnlyKernelMatchesGroupByOnWideSchemas) {
+  // 1-10 member attributes: every width the fused scatter specialises
+  // (1-8) and its generic loop beyond.
+  util::Rng rng(GetParam() ^ 0x3A7E);
+  const LeafTable table = randomWideTable(rng);
+  const dataset::GroupByKernel kernel(table);
+  dataset::GroupByScratch scratch;
+  std::vector<dataset::CuboidGroup> actual;
+  std::vector<dataset::GroupAggregate> decoded;
+  for (const auto mask :
+       dataset::allCuboidsByLayer(dataset::allAttributesMask(table.schema()))) {
+    expectCountOnlyGroups(kernel, mask, scratch, actual);
+    expectDecodedGroups(kernel, mask, scratch, decoded);
   }
 }
 
 TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
   // The allocation-free path's contract under REUSE: one kernel and one
-  // scratch driven across two random tables x every cuboid x repeated
-  // passes, through both output forms, must stay element-for-element
-  // identical to LeafTable::groupBy (float sums compared with ==).  The
-  // failure mode this hunts is stale state leaking between calls: a
-  // touched cell not reset to zero, or a decoded output slot keeping a
-  // previous mask's element in a now-wildcard attribute.
+  // scratch driven across random tables of different schemas x every
+  // cuboid x repeated passes, through both output forms.  The failure
+  // mode this hunts is stale state leaking between calls: a touched
+  // cell not reset to zero, the decoded overload's key -> group map left
+  // in the dense array, or a decoded output slot keeping a previous
+  // mask's element in a now-wildcard attribute.
   util::Rng rng(GetParam() ^ 0x5EED);
   const LeafTable table_a = randomTable(rng);
   const LeafTable table_b = randomTable(rng);
+  const LeafTable table_c = randomWideTable(rng);
   dataset::GroupByKernel kernel;
   dataset::GroupByScratch scratch;
   std::vector<dataset::CuboidGroup> keyed;
   std::vector<dataset::GroupAggregate> decoded;
   for (int pass = 0; pass < 3; ++pass) {
-    for (const LeafTable* table : {&table_a, &table_b}) {
+    for (const LeafTable* table : {&table_a, &table_b, &table_c}) {
       kernel.rebind(*table);
       for (const auto mask : dataset::allCuboidsByLayer(
                dataset::allAttributesMask(table->schema()))) {
-        const auto expected = table->groupBy(mask);
-        ASSERT_EQ(expected.size(), kernel.groupByInto(mask, scratch, keyed))
-            << "pass=" << pass << " mask=" << mask;
-        const std::size_t count = kernel.groupByInto(mask, scratch, decoded);
-        ASSERT_EQ(expected.size(), count)
-            << "pass=" << pass << " mask=" << mask;
-        for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(expected[i].ac, decoded[i].ac)
-              << "pass=" << pass << " mask=" << mask << " i=" << i;
-          EXPECT_EQ(expected[i].ac, kernel.combination(mask, keyed[i].row));
-          EXPECT_EQ(expected[i].total, decoded[i].total);
-          EXPECT_EQ(expected[i].anomalous, decoded[i].anomalous);
-          EXPECT_EQ(expected[i].v_sum, decoded[i].v_sum);
-          EXPECT_EQ(expected[i].f_sum, decoded[i].f_sum);
-          EXPECT_EQ(expected[i].total, keyed[i].total);
-          EXPECT_EQ(expected[i].v_sum, keyed[i].v_sum);
-        }
+        SCOPED_TRACE(testing::Message() << "pass=" << pass);
+        expectCountOnlyGroups(kernel, mask, scratch, keyed);
+        expectDecodedGroups(kernel, mask, scratch, decoded);
+      }
+    }
+  }
+}
+
+TEST(GroupByKernelFallback, CuboidAboveDenseLimitMatchesGroupBy) {
+  // 300^3 = 27M cells > 2^22: the full cuboid takes the sort fallback,
+  // the two-attribute ones (90k cells) the dense path, all through one
+  // scratch, alternating with a small table's cuboids.
+  util::Rng rng(22);
+  const Schema schema = Schema::synthetic({300, 300, 300});
+  LeafTable filled(schema);
+  for (int i = 0; i < 3000; ++i) {
+    // Few distinct values per attribute, so groups of several rows form.
+    dataset::AttributeCombination leaf(3);
+    for (dataset::AttrId a = 0; a < 3; ++a) {
+      leaf.setSlot(a, static_cast<dataset::ElemId>(rng.uniformInt(0, 9) * 29));
+    }
+    const double f = rng.uniform(1.0, 100.0);
+    const bool anomalous = rng.bernoulli(0.3);
+    filled.addRow(std::move(leaf), anomalous ? f * 0.5 : f, f, anomalous);
+  }
+  const LeafTable& big = filled;
+  const LeafTable small = randomTable(rng);
+  ASSERT_GT(dataset::cuboidSize(schema, dataset::allAttributesMask(schema)),
+            std::uint64_t{1} << 22);
+  dataset::GroupByKernel kernel;
+  dataset::GroupByScratch scratch;
+  std::vector<dataset::CuboidGroup> keyed;
+  std::vector<dataset::GroupAggregate> decoded;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const LeafTable* table : {&big, &small}) {
+      kernel.rebind(*table);
+      for (const auto mask : dataset::allCuboidsByLayer(
+               dataset::allAttributesMask(table->schema()))) {
+        expectCountOnlyGroups(kernel, mask, scratch, keyed);
+        expectDecodedGroups(kernel, mask, scratch, decoded);
       }
     }
   }

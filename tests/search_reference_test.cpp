@@ -168,10 +168,7 @@ std::uint64_t checkAllSettings(const LeafTable& table,
                        << (pool == nullptr ? 1 : pool->threadCount() + 1));
           SearchStats stats;
           const auto actual =
-              pool == nullptr
-                  ? core::acGuidedSearch(table, kept, config, workspace, stats)
-                  : core::acGuidedSearchParallel(table, kept, config, *pool,
-                                                 workspace, stats);
+              core::acGuidedSearch(table, kept, config, workspace, pool, stats);
           expectSame(expected, expected_stats, actual, stats);
         }
       }
@@ -314,7 +311,7 @@ TEST(KeySpaceMerge, MoreThan64AcceptingCuboidsMatchReference) {
   config.t_conf = 0.7;
   config.early_stop = false;
   SearchStats stats;
-  core::acGuidedSearch(table, kept, config, ws, stats);
+  core::acGuidedSearch(table, kept, config, ws, /*pool=*/nullptr, stats);
   EXPECT_GT(ws.slot_masks.size(), 64u);
   checkAllSettings(table, kept, 0.7);
 }
@@ -355,10 +352,7 @@ TEST(KeySpaceMerge, RepeatedSameShapeSearchKeepsMergeCapacity) {
     core::SearchWorkspace ws;
     const auto run = [&] {
       SearchStats stats;
-      return p == nullptr
-                 ? core::acGuidedSearch(table, kept, search, ws, stats)
-                 : core::acGuidedSearchParallel(table, kept, search, *p, ws,
-                                                stats);
+      return core::acGuidedSearch(table, kept, search, ws, p, stats);
     };
     const auto first = run();
     ASSERT_FALSE(first.empty());

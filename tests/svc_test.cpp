@@ -991,6 +991,30 @@ class JournalDir : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+TEST_F(JournalDir, CompactionTriggeredByAnAppendKeepsThatRecord) {
+  // compact_bytes = 1: every append pushes the file over the limit and
+  // rewrites it from the live records, which must include the record
+  // whose append triggered the rewrite.
+  const std::string file = path("jobs.rapjrnl");
+  svc::JobJournal::Record record;
+  record.tenant = "default";
+  record.content_type = "csv";
+  record.body = "A,B,real,predict\na1,b1,1,2\n";
+  {
+    auto journal = svc::JobJournal::open({.path = file, .compact_bytes = 1});
+    ASSERT_TRUE(journal.isOk()) << journal.status().toString();
+    ASSERT_TRUE((*journal)->append(record).isOk());
+    record.query = "k=4";
+    ASSERT_TRUE((*journal)->append(record).isOk());
+  }
+  auto journal = svc::JobJournal::open({.path = file});
+  ASSERT_TRUE(journal.isOk()) << journal.status().toString();
+  const auto pending = (*journal)->pending();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].query, "");
+  EXPECT_EQ(pending[1].query, "k=4");
+}
+
 TEST_F(JournalDir, AppendCompleteRecoverAndCompact) {
   const std::string file = path("jobs.rapjrnl");
   svc::JobJournal::Record record;
