@@ -14,8 +14,8 @@
 // a "reuse" section of the JSON.  On its own it runs a serial sweep.
 //
 //   $ ./fig9b_time_rapmd                                  # paper figure
-//   $ ./fig9b_time_rapmd --sweep-threads 1,2,4,8 --reuse \
-//       --sweep-cases 20 --json-out BENCH_parallel_search.json
+//   $ OUT=BENCH_parallel_search.json
+//   $ ./fig9b_time_rapmd --sweep-threads 1,2,4,8 --reuse --sweep-cases 20 --json-out $OUT
 #include <algorithm>
 #include <fstream>
 #include <thread>

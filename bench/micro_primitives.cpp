@@ -144,7 +144,7 @@ BENCHMARK(BM_GroupByKernelWorkspace);
 
 void BM_GroupByKernelWorkspaceAllCuboids(benchmark::State& state) {
   // One full Algorithm-2-shaped pass: every cuboid of the lattice
-  // through one retained workspace, the reuse pattern aggregateLayer
+  // through one retained workspace, the reuse pattern the layer search
   // actually drives (alternating masks is what stresses the
   // touched-cell reset).
   const auto& table = sparseTable();

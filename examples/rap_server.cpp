@@ -6,12 +6,11 @@
 //
 //   $ ./rap_server --schema schema.csv [--port 8080]
 //   $ ./rap_server --tenants catalog.json
-//   $ curl -X POST --data-binary @snapshot.csv \
-//         'http://127.0.0.1:8080/api/v1/tenants/default/localize?k=5'
-//   $ curl 'http://127.0.0.1:8080/api/v1/tenants'
-//   $ curl -X PUT --data-binary @tenant.json \
-//         'http://127.0.0.1:8080/api/v1/tenants/edge-eu'
-//   $ curl 'http://127.0.0.1:8080/metrics'
+//   $ URL=http://127.0.0.1:8080
+//   $ curl --data-binary @snapshot.csv "$URL/api/v1/tenants/default/localize?k=5"
+//   $ curl "$URL/api/v1/tenants"
+//   $ curl -X PUT --data-binary @tenant.json "$URL/api/v1/tenants/edge-eu"
+//   $ curl "$URL/metrics"
 //
 // The flags configure the "default" tenant, which also answers the
 // legacy un-prefixed endpoints (POST /api/v1/localize, GET

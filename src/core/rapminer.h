@@ -108,9 +108,10 @@ class RapMiner {
 
   /// Same, but the within-layer fan-out runs on the caller's pool
   /// (overriding parallel.threads; nullptr falls back to the config).
-  /// The pool must not run tasks that block on this search — give the
-  /// miner a dedicated search pool, not the pool the caller's own
-  /// blocking task runs on (see stream::StreamEngine).
+  /// Any pool works, including the one whose task calls this: helpers
+  /// go only to idle workers and the search waits only for helpers that
+  /// started, so a busy pool leaves it serial instead of deadlocking
+  /// (see stream::StreamEngine, svc::JobManager).
   LocalizationResult localize(const dataset::LeafTable& table, std::int32_t k,
                               util::ThreadPool* pool) const;
 
@@ -122,11 +123,6 @@ class RapMiner {
   LocalizationResult localize(const dataset::LeafTable& table, std::int32_t k,
                               util::ThreadPool* pool,
                               WorkspacePool* workspaces) const;
-
-  /// The miner's own fan-out pool (nullptr when parallel.threads <= 1),
-  /// for callers of the WorkspacePool overload that want the config's
-  /// parallelism rather than an external pool.
-  util::ThreadPool* searchPool() const noexcept { return pool_.get(); }
 
  private:
   RapMinerConfig config_;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -60,51 +61,135 @@ std::vector<CuboidMask> orderedCuboids(
 
 namespace {
 
-/// Aggregates every cuboid of one layer concurrently: `pool` workers and
-/// the calling thread pull cuboid indices off a shared cursor (balanced
-/// even when cuboid sizes differ wildly) and write disjoint slots of
-/// `ws.layer_groups` through per-worker scratches.
-/// Returns the number of pool helpers actually enlisted (the layer used
-/// helpers + 1 threads), and only once every helper task has exited, so
-/// the borrowed stack state cannot dangle even if the caller early-stops
-/// the layer right after.
-std::size_t aggregateLayer(const std::vector<CuboidMask>& cuboids,
-                           util::ThreadPool& pool, SearchWorkspace& ws) {
-  const std::size_t n = cuboids.size();
-  if (ws.layer_groups.size() < n) ws.layer_groups.resize(n);
-  const std::size_t helpers = std::min(pool.threadCount(), n > 0 ? n - 1 : 0);
-  if (ws.scratch.size() < helpers + 1) ws.scratch.resize(helpers + 1);
+/// One layer's cuboid fan-out (docs/algorithms.md, "Parallel layer
+/// search").  The caller and every helper task it submitted share it
+/// through a shared_ptr, so a helper the pool starts late — after the
+/// layer, or the whole search, has returned and the workspace has been
+/// reused or destroyed — still finds live state: a closed fan-out, which
+/// it leaves without touching `cuboids` or the workspace.  The caller
+/// therefore joins only the helpers that actually started, and a search
+/// may fan out on the very pool whose task is running it.
+///
+/// Cuboids are claimed off one cursor in canonical order.  A helper
+/// claims the next one with fetch_add, aggregates it into
+/// ws.layer_groups[i] through its own scratch and publishes it on
+/// ready[i].  The caller claims cuboid i itself while the cursor still
+/// points at it; otherwise it aggregates later unclaimed cuboids, as a
+/// helper would, until ready[i] is set, and waits on it only when none
+/// are left.  Cuboid i lands in slot i whoever aggregates it, so which
+/// buffers a layer grows does not depend on the schedule.
+///
+/// Helpers only borrow spare capacity: the caller submits them to idle
+/// workers only, and a helper leaves after its current cuboid once a
+/// task other than this layer's own helpers waits in the pool's queue,
+/// so a job queued behind a fan-out waits for at most one cuboid
+/// aggregation.
+class LayerFanOut {
+ public:
+  LayerFanOut(const std::vector<CuboidMask>& cuboids, SearchWorkspace& ws,
+              const util::ThreadPool& pool, std::size_t helpers)
+      : cuboids_(cuboids),
+        ws_(ws),
+        pool_(pool),
+        helpers_(helpers),
+        ready_(cuboids.size()) {}
 
-  std::atomic<std::size_t> cursor{0};
-  const auto work = [&cuboids, &cursor, &ws, n](std::size_t worker) {
-    dataset::GroupByScratch& scratch = ws.scratch[worker];
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      ws.kernel.groupByInto(cuboids[i], scratch, ws.layer_groups[i]);
+  /// Body of one of the `helpers` tasks submitted for this layer.
+  void help() {
+    entered_.fetch_add(1, std::memory_order_relaxed);
+    std::size_t slot = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (closed_) return;
+      slot = ++started_;  // scratch slots in order of registration
     }
-  };
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t exited = 0;
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([&work, &mutex, &cv, &exited, h] {
-      work(h + 1);
-      // Notify while holding the lock: the waiter owns the cv's storage
-      // (caller stack) and may destroy it the moment it observes the
-      // final count, so the notify must complete before the count is
-      // visible.
-      std::lock_guard<std::mutex> lock(mutex);
-      ++exited;
-      cv.notify_all();
-    });
+    dataset::GroupByScratch& scratch = ws_.scratch[slot];
+    while (aggregateNext(scratch) && !othersQueued()) {
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++finished_;
+    if (closed_ && finished_ == started_) joined_.notify_one();
   }
-  work(0);
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&exited, helpers] { return exited == helpers; });
-  return helpers;
-}
+
+  /// Caller: true iff no helper has claimed cuboid `i`, which the caller
+  /// then owns.  The caller visits cuboids in order, so the cursor is
+  /// never below `i` here.
+  bool claim(std::size_t i) {
+    std::size_t expected = i;
+    return cursor_.compare_exchange_strong(expected, i + 1,
+                                           std::memory_order_relaxed);
+  }
+
+  /// Caller: returns once cuboid `i`, which it did not claim in order,
+  /// is ready in ws.layer_groups[i].  Until then it aggregates the
+  /// next unclaimed cuboids itself, like a helper, through `scratch`.
+  void awaitReady(std::size_t i, dataset::GroupByScratch& scratch) {
+    while (!ready_[i].load(std::memory_order_acquire)) {
+      if (!aggregateNext(scratch)) {
+        ready_[i].wait(false, std::memory_order_acquire);
+        return;
+      }
+    }
+  }
+
+  /// Caller: closes the cursor, so helpers stop after their current
+  /// cuboid and helpers not yet started never begin, then waits for the
+  /// started ones to finish.  Idempotent.
+  void closeAndJoin() {
+    cursor_.store(cuboids_.size(), std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lock(mutex_);
+    closed_ = true;
+    joined_.wait(lock, [this] { return finished_ == started_; });
+  }
+
+ private:
+  /// True iff the pool's queue holds more tasks than this layer's
+  /// helpers not yet started (a helper popped but not yet in help()
+  /// still counts as queued here, which only delays stepping aside).
+  bool othersQueued() const {
+    return pool_.queued() >
+           helpers_ - entered_.load(std::memory_order_relaxed);
+  }
+
+  /// Claims the next cuboid off the cursor, aggregates it into its slot
+  /// and publishes it; false once the cursor is exhausted or closed.
+  bool aggregateNext(dataset::GroupByScratch& scratch) {
+    const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= cuboids_.size()) return false;
+    ws_.kernel.groupByInto(cuboids_[i], scratch, ws_.layer_groups[i]);
+    ready_[i].store(true, std::memory_order_release);
+    ready_[i].notify_one();
+    return true;
+  }
+
+  const std::vector<CuboidMask>& cuboids_;
+  SearchWorkspace& ws_;
+  const util::ThreadPool& pool_;
+  const std::size_t helpers_;
+  std::atomic<std::size_t> entered_{0};
+  std::atomic<std::size_t> cursor_{0};
+  std::vector<std::atomic<bool>> ready_;
+  std::mutex mutex_;
+  std::condition_variable joined_;
+  std::size_t started_ = 0;
+  std::size_t finished_ = 0;
+  bool closed_ = false;
+};
+
+/// Joins a layer's fan-out on every way out of the layer, exceptions
+/// included: only then may the workspace be reused or `cuboids` freed.
+class JoinOnExit {
+ public:
+  explicit JoinOnExit(LayerFanOut* fan_out) : fan_out_(fan_out) {}
+  JoinOnExit(const JoinOnExit&) = delete;
+  JoinOnExit& operator=(const JoinOnExit&) = delete;
+  ~JoinOnExit() {
+    if (fan_out_ != nullptr) fan_out_->closeAndJoin();
+  }
+
+ private:
+  LayerFanOut* fan_out_;
+};
 
 /// Criteria 3 probe setup for cuboid `mask`: ws.probe gets the bits of
 /// every accepted-cuboid slot whose cuboid is a strict subset of `mask`,
@@ -152,15 +237,14 @@ void markAccepted(SearchWorkspace& ws, CuboidMask mask) {
 
 }  // namespace
 
-/// The Algorithm 2 driver.  The two schedules differ only in how a
-/// layer's per-cuboid groups are produced: the serial path aggregates
-/// them lazily inside the merge loop (so an early stop skips the rest of
-/// the layer entirely), the parallel path precomputes the whole layer via
-/// aggregateLayer and the merge then consumes the slots in canonical
-/// order.  Everything the result depends on — acceptance, pruning,
-/// early-stop, counters — happens in the single-threaded merge below, in
-/// the exact order of the serial reference, which is what makes the two
-/// schedules bit-identical.
+/// The Algorithm 2 main loop.  Every layer runs one loop over its cuboids in
+/// canonical order; each cuboid is aggregated right before its merge
+/// step, by the caller or — when a pool is given — by whichever helper
+/// claimed it first (LayerFanOut).  Everything the result depends on —
+/// acceptance, pruning, early stop, counters — happens in the caller's
+/// merge, in the exact order of the serial reference, which is what
+/// makes every schedule bit-identical; with no pool the loop is the
+/// serial reference.
 ///
 /// The merge works on row keys, never on combinations (docs/algorithms.md,
 /// "Key-space merge"): Criteria 3 is a probe of the group's
@@ -188,9 +272,10 @@ std::vector<ScoredPattern> acGuidedSearch(
   ws.slot_masks.clear();
   std::vector<ScoredPattern> candidates;
 
-  // Concurrency actually used: 1 until some layer enlists pool helpers;
-  // aggregateLayer reports how many it took (a layer with c cuboids
-  // never uses more than c threads, so small tenants report honestly).
+  // Concurrency enlisted: 1 until some layer submits pool helpers (a
+  // layer with c cuboids never enlists more than c - 1, nor more than
+  // the pool's idle workers, so small tenants and busy pools report
+  // honestly).
   stats.search_threads = 1;
 
   // Early-stop bookkeeping: the anomalous rows not yet covered by any
@@ -245,18 +330,39 @@ std::vector<ScoredPattern> acGuidedSearch(
     const std::vector<CuboidMask> cuboids =
         orderedCuboids(kept_attributes, layer, config.order);
 
-    // Parallel schedule: aggregate the whole layer up front.  Wasted
-    // only when the early stop fires mid-layer (the merge then discards
-    // the slots past the stop point).
-    const bool parallel = pool != nullptr && cuboids.size() > 1;
-    if (parallel) {
-      const util::WallTimer aggregate_timer;
-      const std::size_t helpers = aggregateLayer(cuboids, *pool, ws);
-      stats.search_threads =
-          std::max(stats.search_threads,
-                   static_cast<std::int32_t>(helpers) + 1);
-      layer_stats.seconds_aggregate = aggregate_timer.elapsedSeconds();
+    // Fan-out: helpers aggregate ahead of the caller's merge, one per
+    // worker idle right now (a busy pool leaves the layer serial).
+    // Waiting for them, like aggregating, counts as the caller's time
+    // outside the merge, so aggregate + merge is the layer's wall time.
+    const std::size_t helpers =
+        pool != nullptr && cuboids.size() > 1
+            ? std::min(pool->idleWorkers(), cuboids.size() - 1)
+            : 0;
+    std::shared_ptr<LayerFanOut> fan_out;
+    if (helpers > 0) {
+      if (ws.scratch.size() < helpers + 1) ws.scratch.resize(helpers + 1);
+      if (ws.layer_groups.size() < cuboids.size()) {
+        ws.layer_groups.resize(cuboids.size());
+      }
+      fan_out = std::make_shared<LayerFanOut>(cuboids, ws, *pool, helpers);
+      stats.search_threads = std::max(stats.search_threads,
+                                      static_cast<std::int32_t>(helpers) + 1);
     }
+    // Armed before the first submit: a submit that throws still joins
+    // the helpers already queued.
+    const JoinOnExit join{fan_out.get()};
+    for (std::size_t h = 0; h < helpers; ++h) {
+      pool->submit([fan_out] { fan_out->help(); });
+    }
+    const auto endLayer = [&]() {
+      if (fan_out != nullptr) {
+        const util::WallTimer join_timer;
+        fan_out->closeAndJoin();
+        layer_stats.seconds_aggregate += join_timer.elapsedSeconds();
+      }
+      layer_stats.seconds = layer_timer.elapsedSeconds();
+      flushLayer();
+    };
 
     for (std::size_t i = 0; i < cuboids.size(); ++i) {
       // Mid-layer deadline: stop before the next aggregation, keep the
@@ -264,23 +370,25 @@ std::vector<ScoredPattern> acGuidedSearch(
       // like an early-stopped one).
       if (deadlineExpired()) {
         stats.degraded_reason = "deadline";
-        layer_stats.seconds = layer_timer.elapsedSeconds();
-        flushLayer();
+        endLayer();
         return candidates;
       }
       layer_stats.cuboids_visited += 1;
       const CuboidMask mask = cuboids[i];
-      if (!parallel) {
-        const util::WallTimer aggregate_timer;
-        ws.kernel.groupByInto(mask, ws.scratch[0], ws.layer_groups[0]);
-        layer_stats.seconds_aggregate += aggregate_timer.elapsedSeconds();
+      const util::WallTimer aggregate_timer;
+      const std::size_t slot = fan_out == nullptr ? 0 : i;
+      if (fan_out == nullptr || fan_out->claim(i)) {
+        ws.kernel.groupByInto(mask, ws.scratch[0], ws.layer_groups[slot]);
+      } else {
+        fan_out->awaitReady(i, ws.scratch[0]);
       }
+      layer_stats.seconds_aggregate += aggregate_timer.elapsedSeconds();
       // Slots are only marked once a cuboid's groups are all merged; no
       // same-layer cuboid is a strict subset of another, so the probe
       // sees every candidate that can be an ancestor here.
       prepareProbe(ws, mask);
       ws.accepted_keys.clear();
-      for (const CuboidGroup& group : ws.layer_groups[parallel ? i : 0]) {
+      for (const CuboidGroup& group : ws.layer_groups[slot]) {
         // Criteria 3: skip the descendants of accepted candidates.
         if (probeHits(ws, group.row)) {
           layer_stats.combinations_pruned += 1;
@@ -309,8 +417,7 @@ std::vector<ScoredPattern> acGuidedSearch(
             });
             if (ws.uncovered.empty()) {
               stats.early_stopped = true;
-              layer_stats.seconds = layer_timer.elapsedSeconds();
-              flushLayer();
+              endLayer();
               return candidates;
             }
           }
@@ -318,8 +425,7 @@ std::vector<ScoredPattern> acGuidedSearch(
       }
       if (!ws.accepted_keys.empty()) markAccepted(ws, mask);
     }
-    layer_stats.seconds = layer_timer.elapsedSeconds();
-    flushLayer();
+    endLayer();
   }
   return candidates;
 }

@@ -21,18 +21,20 @@
 // early stop compares row keys, and AttributeCombinations are built
 // only for accepted candidates (docs/algorithms.md, "Key-space merge").
 //
-// One entry point, acGuidedSearch, runs two schedules that produce
-// bit-identical results:
-//   * serial (no pool) — the reference implementation;
-//   * parallel (a util::ThreadPool) — evaluates each layer's cuboids
-//     concurrently on the pool, then replays Criteria 2/3
-//     acceptance, pruning and the early stop in the canonical visit
-//     order during a deterministic single-threaded merge.  Acceptance
-//     decisions only ever depend on candidates from strictly lower
-//     layers (an accepted candidate cannot be an ancestor of a
-//     same-layer combination), so evaluating a layer's cuboids out of
-//     order is safe; the merge re-imposes the canonical order for
-//     acceptance and bookkeeping.
+// One entry point, acGuidedSearch, walks each layer's cuboids in the
+// canonical visit order and merges (Criteria 2/3 acceptance, pruning,
+// the early stop) on the calling thread.  Given a util::ThreadPool,
+// helper tasks on its idle workers aggregate the layer's later cuboids
+// while the caller
+// merges the earlier ones; when a helper claimed the cuboid the caller
+// needs next, the caller aggregates later ones itself until it is
+// ready.  Acceptance decisions only ever
+// depend on candidates from strictly lower layers (an accepted
+// candidate cannot be an ancestor of a same-layer combination), so
+// aggregating a layer's cuboids out of order is safe, and the result is
+// bit-identical to the serial schedule (no pool).  The caller joins only
+// the helpers that started, so the pool may be the one running the
+// search itself.
 #pragma once
 
 #include <cstdint>
@@ -95,13 +97,14 @@ std::vector<dataset::CuboidMask> orderedCuboids(
 
 /// Reusable memory plane for one Algorithm-2 search: the transposed
 /// group-by kernel, one GroupByScratch per fan-out worker (slot 0 is
-/// the calling thread), the per-cuboid group buffers of the layer
-/// prefetch and the merge's row-level state.  Every buffer grows to its
+/// the calling thread), the per-cuboid group buffers the fan-out fills
+/// and the merge's row-level state.  Every buffer grows to its
 /// workload's high-water mark and is then reused, so repeated searches
 /// over same-shaped tables perform no steady-state heap allocation
-/// outside the returned candidates.  A workspace serves one search at a
-/// time; the members are implementation state — treat them as opaque
-/// outside src/core and tests.
+/// outside the returned candidates (and, with a pool, the per-layer
+/// fan-out state and its task closures).  A workspace serves one search
+/// at a time; the members are implementation state — treat them as
+/// opaque outside src/core and tests.
 struct SearchWorkspace {
   SearchWorkspace() = default;
   SearchWorkspace(const SearchWorkspace&) = delete;
@@ -185,13 +188,18 @@ class WorkspacePool {
 /// column capacity and every per-cuboid buffer is recycled, so repeated
 /// searches over same-shaped tables allocate nothing in the hot path.
 /// With `pool` == nullptr the search is the serial reference schedule;
-/// otherwise each layer's cuboid aggregations fan out across `pool` (the
-/// calling thread participates too, each worker with its own scratch
-/// from the workspace) and the results are bit-identical to the serial
-/// schedule.  The pool must not be used for tasks that block on this
-/// search.  When a layer early-stops mid-way, aggregations computed past
-/// the stop point are discarded, so stats match the serial schedule
-/// exactly.
+/// otherwise each layer submits one helper task per idle worker of
+/// `pool` (up to one per cuboid after the first), which aggregate
+/// cuboids (each with its own scratch from the workspace) while the
+/// calling thread merges, and the results are bit-identical to the
+/// serial schedule.  A helper leaves after its current cuboid once
+/// other tasks wait in the pool's queue, so a fan-out never holds a
+/// worker that queued work needs.  Only helpers that started are waited
+/// for: any pool works, including the one whose task runs this search,
+/// and a helper the pool starts after the search returned exits without
+/// touching the workspace.  An early stop, a deadline or the end of a
+/// layer stops the helpers after their current cuboid; work they did
+/// past the stop point never reaches the stats.
 std::vector<ScoredPattern> acGuidedSearch(
     const dataset::LeafTable& table,
     const std::vector<dataset::AttrId>& kept_attributes,

@@ -26,10 +26,10 @@ struct LayerSearchStats {
   std::uint64_t combinations_pruned = 0;
   std::uint64_t candidates_found = 0;
   double seconds = 0.0;  ///< wall time spent in this layer
-  /// Wall time spent aggregating the layer's cuboids (the dense group-by
-  /// kernel).  Under the parallel schedule this is the fan-out + join
-  /// time of the whole layer, so seconds / seconds_aggregate exposes the
-  /// per-layer speedup next to the serial baseline.
+  /// The calling thread's time in this layer outside the merge:
+  /// aggregating the cuboids it claimed (the group-by kernel) and, with
+  /// a pool, waiting for cuboids helpers claimed plus the final join.
+  /// seconds - seconds_aggregate is the merge.
   double seconds_aggregate = 0.0;
 };
 
@@ -52,11 +52,12 @@ struct SearchStats {
   /// candidates returned are exactly those accepted before the cut, so
   /// a degraded result is still a valid (if incomplete) localization.
   std::string degraded_reason;
-  /// Concurrency the search ACTUALLY used: 1 + the most pool helpers
-  /// any layer enlisted (a layer with c cuboids never uses more than c
-  /// threads).  1 = every layer ran serially — including trivial
-  /// tables, single-cuboid layers and the serial reference schedule —
-  /// regardless of how many workers the pool had idle.
+  /// Concurrency the search enlisted: 1 + the most pool helpers any
+  /// layer submitted (a layer with c cuboids never enlists more than
+  /// c - 1, nor more than the pool's idle workers).  1 = no layer fanned
+  /// out — trivial tables, single-cuboid layers, a pool with no idle
+  /// worker and the serial reference schedule.  A helper that woke only
+  /// after its layer closed still counts.
   std::int32_t search_threads = 1;
   /// Per-layer breakdown of the totals above, in visit order; the last
   /// entry is partial when the search early-stopped inside it.

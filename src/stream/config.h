@@ -54,10 +54,9 @@ struct StreamConfig {
   double detect_threshold = 0.095;
   bool detect_two_sided = false;
 
-  /// miner.parallel.threads > 1 (or 0 on a multi-core host) makes the
-  /// engine run the within-layer search fan-out on a dedicated pool
-  /// shared by all in-flight localizations — distinct from
-  /// localize_threads, which bounds how many windows localize at once.
+  /// The engine ignores miner.parallel.threads: each localization fans
+  /// its within-layer search out on the idle workers of the
+  /// localization pool (localize_threads), the pool it runs on.
   core::RapMinerConfig miner;
   /// Patterns kept per localization (RapMiner::localize's k).
   std::int32_t top_k = 5;

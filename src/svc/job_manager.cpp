@@ -356,8 +356,10 @@ JobManager::ExecOutcome JobManager::executeImpl(JobRequest& request,
     if (cache_misses_ != nullptr) cache_misses_->increment();
   }
 
+  // The search fans out on this manager's pool below, so the per-request
+  // miner must not build a pool of its own.
   auto miner =
-      core::RapMiner::Builder().config(request.miner).build();
+      core::RapMiner::Builder().config(request.miner).threads(1).build();
   if (!miner.isOk()) {
     outcome.error = miner.status().toString();
     return outcome;
@@ -369,8 +371,15 @@ JobManager::ExecOutcome JobManager::executeImpl(JobRequest& request,
     detect::RelativeDeviationDetector(request.detect_threshold).run(table);
   }
 
+  // Algorithm 2 fans out on the idle workers of the pool the jobs run
+  // on, so a busy pool leaves the search serial, and its helpers step
+  // aside after one cuboid once another task (another tenant's job)
+  // queues.  The search joins only helpers that started, so a job
+  // already running on that pool cannot deadlock.
   const core::LocalizationResult result = miner.value().localize(
-      table, request.k, miner.value().searchPool(), &localize_workspaces_);
+      table, request.k,
+      options_.shared_pool != nullptr ? options_.shared_pool : pool_.get(),
+      &localize_workspaces_);
   outcome.ok = true;
   outcome.result_json = io::resultToJson(table.schema(), result);
   if (cache_ != nullptr && request.cache_key != 0) {

@@ -131,10 +131,13 @@ class JobManager {
     /// unlabeled legacy series.
     obs::Labels metric_labels;
     /// Execute on this externally owned pool instead of spawning
-    /// `workers` dedicated threads.  The pool must outlive the manager;
-    /// the destructor returns only after every closure this manager
-    /// dispatched has left the pool, so tearing down one tenant never
-    /// leaves a dangling task behind.
+    /// `workers` dedicated threads; every search, sync or queued, also
+    /// fans its layers out on the pool's idle workers.  The pool must
+    /// outlive the manager; the destructor returns only after every
+    /// closure this manager dispatched has left the pool, so tearing
+    /// down one tenant never leaves a dangling task behind (a search
+    /// helper still queued finds its layer closed and touches nothing
+    /// of the manager).
     util::ThreadPool* shared_pool = nullptr;
     /// CoDel-style queue-delay shedding (svc/overload.h): disabled by
     /// default (target 0), submit() sheds with Status::unavailable

@@ -46,6 +46,16 @@ std::size_t ThreadPool::inFlight() const {
   return in_flight_;
 }
 
+std::size_t ThreadPool::idleWorkers() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return in_flight_ < workers_.size() ? workers_.size() - in_flight_ : 0;
+}
+
+std::size_t ThreadPool::queued() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
+}
+
 void ThreadPool::workerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -2,12 +2,16 @@
 //
 // The process's executors are instances of this pool:
 //   * Algorithm 2's within-layer cuboid fan-out (core::acGuidedSearch
-//     with a pool; RapMiner owns one when parallel.threads > 1);
+//     with a pool; RapMiner owns one when parallel.threads > 1).  The
+//     search hands helpers only to idle workers (idleWorkers()), its
+//     helpers step aside once other tasks queue (queued()), and it joins
+//     only helpers that started, so it may fan out on the pool whose
+//     task runs it;
 //   * the service's localize workers (svc::JobManager, drawing on the
-//     tenant catalog's shared pool);
-//   * the stream engine's localization pool and its dedicated search
-//     pool (stream::StreamEngine — fan-out must not share the pool whose
-//     tasks block on it);
+//     tenant catalog's shared pool), which also carry their searches'
+//     fan-out;
+//   * the stream engine's localization pool, likewise shared with its
+//     searches' fan-out (stream::StreamEngine);
 //   * parallelFor, which the evaluation runner uses to fan localization
 //     cases across cores during parameter sweeps.
 #pragma once
@@ -43,6 +47,13 @@ class ThreadPool {
   /// Tasks submitted but not yet finished (queued + running) — the
   /// utilization signal the stream lag collector samples.
   std::size_t inFlight() const;
+
+  /// Workers that a task submitted now would find free: threadCount()
+  /// minus inFlight(), floored at 0.  A snapshot, stale on return.
+  std::size_t idleWorkers() const;
+
+  /// Tasks submitted but not yet started by a worker.
+  std::size_t queued() const;
 
  private:
   void workerLoop();

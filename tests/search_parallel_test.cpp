@@ -1,12 +1,18 @@
 // Parallel-vs-serial equivalence for Algorithm 2: the deterministic
 // merge must make the pooled schedule bit-identical to the serial
 // reference — patterns, confidences, scores, and every search-effort
-// counter.  Also the regression suite for the trivial-input early
+// counter — also when a layer stops early or at a deadline, and the
+// fan-out's join must survive any pool, including the one running the
+// search.  Also the regression suite for the trivial-input early
 // return of RapMiner::localize.  This file runs under the CI TSan job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <latch>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -14,7 +20,9 @@
 #include "core/search.h"
 #include "dataset/groupby_kernel.h"
 #include "gen/rapmd.h"
+#include "search_reference.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace rap {
 namespace {
@@ -47,6 +55,7 @@ void expectBitIdentical(const LocalizationResult& serial,
             parallel.stats.combinations_pruned);
   EXPECT_EQ(serial.stats.candidates_found, parallel.stats.candidates_found);
   EXPECT_EQ(serial.stats.early_stopped, parallel.stats.early_stopped);
+  EXPECT_EQ(serial.stats.degraded_reason, parallel.stats.degraded_reason);
   ASSERT_EQ(serial.stats.layers.size(), parallel.stats.layers.size());
   for (std::size_t i = 0; i < serial.stats.layers.size(); ++i) {
     const auto& a = serial.stats.layers[i];
@@ -207,6 +216,205 @@ TEST(SearchThreads, WideLayersUseTheWholePool) {
   const auto c = rapmdCases(42, 1)[0];
   EXPECT_EQ(RapMiner(config).localize(c.table, 0, &pool).stats.search_threads,
             3);
+}
+
+// ------------------------------------- fan-out join and mid-layer stops
+
+/// Full lattice of the CDN schema (15 cuboids in layers of 4, 6, 4, 1):
+/// every attribute kept and no early stop.
+const std::vector<dataset::AttrId> kAllCdnAttributes = {0, 1, 2, 3};
+
+core::SearchConfig exhaustiveSearch() {
+  core::SearchConfig config;
+  config.early_stop = false;
+  return config;
+}
+
+/// Cuboids in `layer` of the lattice over `kept`.
+std::size_t layerWidth(const std::vector<dataset::AttrId>& kept,
+                       std::int32_t layer) {
+  return core::orderedCuboids(kept, layer, core::CuboidOrder::kCpWeighted)
+      .size();
+}
+
+TEST(FanOutJoin, SearchOnItsOwnSingleWorkerPoolFinishes) {
+  // The pool's only worker runs the search and could fan out on that
+  // same pool.  It has no idle worker, so the search must stay serial
+  // rather than queue a helper behind itself and wait for it.
+  struct Run {
+    LeafTable table;
+    core::SearchWorkspace workspace;
+    core::SearchStats stats;
+    std::vector<core::ScoredPattern> patterns;
+    std::promise<void> done;
+  };
+  auto run = std::make_shared<Run>(rapmdCases(31, 1)[0].table);
+  core::SearchStats serial_stats;
+  core::SearchWorkspace serial_workspace;
+  const auto serial =
+      core::acGuidedSearch(run->table, kAllCdnAttributes, exhaustiveSearch(),
+                           serial_workspace, nullptr, serial_stats);
+
+  auto pool = std::make_unique<util::ThreadPool>(1);
+  std::future<void> finished = run->done.get_future();
+  pool->submit([run, pool = pool.get()] {
+    run->patterns =
+        core::acGuidedSearch(run->table, kAllCdnAttributes, exhaustiveSearch(),
+                             run->workspace, pool, run->stats);
+    run->done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // The worker is blocked for good: joining it would hang the test, so
+    // the pool (and the state the task shares) is leaked instead.
+    static_cast<void>(pool.release());
+    FAIL() << "a search deadlocked on the pool running it";
+  }
+  pool->wait();
+  test::expectSame(serial, serial_stats, run->patterns, run->stats);
+  EXPECT_EQ(run->stats.search_threads, 1);
+}
+
+TEST(FanOutJoin, BusyPoolGetsNoHelpers) {
+  // Both workers are parked while searches run with their pool: no
+  // worker is idle, so no helper is queued behind the parked tasks and
+  // every search runs serially, bit-identical to the reference.
+  util::ThreadPool pool(2);
+  std::latch parked(2);
+  std::latch release(1);
+  for (int worker = 0; worker < 2; ++worker) {
+    pool.submit([&parked, &release] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  parked.wait();
+
+  const auto cases = rapmdCases(77, 2);
+  auto searches = std::async(std::launch::async, [&cases, &pool] {
+    core::SearchWorkspace workspace;
+    for (const auto& c : cases) {
+      core::SearchStats serial_stats;
+      core::SearchWorkspace serial_workspace;
+      const auto serial =
+          core::acGuidedSearch(c.table, kAllCdnAttributes, exhaustiveSearch(),
+                               serial_workspace, nullptr, serial_stats);
+      core::SearchStats stats;
+      const auto patterns =
+          core::acGuidedSearch(c.table, kAllCdnAttributes, exhaustiveSearch(),
+                               workspace, &pool, stats);
+      test::expectSame(serial, serial_stats, patterns, stats);
+      EXPECT_EQ(stats.search_threads, 1);
+    }
+  });
+  // A search that waited for a parked worker would never return;
+  // releasing the workers then lets it finish, so the test fails
+  // instead of hanging.
+  const bool returned =
+      searches.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  if (returned) {
+    EXPECT_EQ(pool.inFlight(), 2u);  // the parked tasks only
+  }
+  release.count_down();
+  searches.get();
+  pool.wait();
+  EXPECT_TRUE(returned) << "a search waited for a busy pool";
+}
+
+TEST(FanOutJoin, LateHelpersLeaveAFinishedSearchAlone) {
+  // Small tables: the caller often closes a layer before a helper it
+  // submitted to an idle worker has woken up, and each workspace is
+  // destroyed as soon as its search returns.  A helper starting that
+  // late must find its layer closed and touch nothing (the ASan and
+  // TSan jobs check); the searches stay bit-identical.
+  util::ThreadPool pool(3);
+  const auto cases = rapmdCases(78, 4);
+  for (int round = 0; round < 25; ++round) {
+    for (const auto& c : cases) {
+      core::SearchStats serial_stats;
+      core::SearchWorkspace serial_workspace;
+      const auto serial =
+          core::acGuidedSearch(c.table, kAllCdnAttributes, exhaustiveSearch(),
+                               serial_workspace, nullptr, serial_stats);
+      core::SearchStats stats;
+      auto workspace = std::make_unique<core::SearchWorkspace>();
+      const auto patterns =
+          core::acGuidedSearch(c.table, kAllCdnAttributes, exhaustiveSearch(),
+                               *workspace, &pool, stats);
+      workspace.reset();
+      test::expectSame(serial, serial_stats, patterns, stats);
+    }
+  }
+  pool.wait();
+  EXPECT_EQ(pool.inFlight(), 0u);
+}
+
+TEST(FanOutJoin, EarlyStopMidLayerMatchesSerial) {
+  // The early stop closes the layer while helpers may still be
+  // aggregating later cuboids: their work must not reach the stats.
+  // Every attribute kept, so layers 1-3 hold 4-6 cuboids each, and no
+  // label noise, so the candidates soon cover every anomalous leaf.
+  util::ThreadPool pool(3);
+  RapMinerConfig config;
+  config.cp.enable_attribute_deletion = false;
+  const RapMiner miner(config);
+  int stopped_mid_layer = 0;
+  for (const auto& c : rapmdCases(20221012, 12, /*label_noise=*/0.0)) {
+    const auto serial = miner.localize(c.table, 0);
+    const auto fanned = miner.localize(c.table, 0, &pool);
+    expectBitIdentical(serial, fanned);
+    ASSERT_FALSE(fanned.stats.layers.empty());
+    const auto& last = fanned.stats.layers.back();
+    if (fanned.stats.early_stopped &&
+        last.cuboids_visited <
+            layerWidth(fanned.stats.kept_attributes, last.layer)) {
+      ++stopped_mid_layer;
+    }
+  }
+  EXPECT_GT(stopped_mid_layer, 0) << "no case stopped early mid-layer";
+}
+
+TEST(FanOutJoin, DeadlineMidLayerMatchesReference) {
+  // A deadline is wall-clock, so no two runs stop at the same cuboid by
+  // design.  The fanned-out run is compared instead with the serial
+  // reference stopped after the same number of cuboids: counters,
+  // patterns and degraded_reason must match.  Deadlines are tried at
+  // fractions of a full search until one expires mid-layer (not at a
+  // layer boundary, where the search stops before opening the layer).
+  util::ThreadPool pool(3);
+  const LeafTable table = rapmdCases(7, 1, /*label_noise=*/0.05)[0].table;
+  const core::SearchConfig config = exhaustiveSearch();
+  core::SearchWorkspace workspace;
+  core::SearchStats full_stats;
+  const util::WallTimer timer;
+  core::acGuidedSearch(table, kAllCdnAttributes, config, workspace, &pool,
+                       full_stats);
+  const double full_seconds = timer.elapsedSeconds();
+
+  bool stopped_mid_layer = false;
+  for (const double fraction : {0.5, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6, 0.1, 0.9}) {
+    core::SearchConfig timed = config;
+    timed.deadline_seconds = full_seconds * fraction;
+    core::SearchStats stats;
+    const auto patterns = core::acGuidedSearch(
+        table, kAllCdnAttributes, timed, workspace, &pool, stats);
+    if (stats.degraded_reason != "deadline" || stats.cuboids_visited == 0 ||
+        stats.layers.empty()) {
+      continue;
+    }
+    const auto& last = stats.layers.back();
+    if (last.cuboids_visited == layerWidth(kAllCdnAttributes, last.layer)) {
+      continue;  // expired between layers
+    }
+    core::SearchStats expected_stats;
+    const auto expected = test::referenceSearch(
+        table, kAllCdnAttributes, config, expected_stats,
+        stats.cuboids_visited);
+    test::expectSame(expected, expected_stats, patterns, stats);
+    stopped_mid_layer = true;
+    break;
+  }
+  EXPECT_TRUE(stopped_mid_layer) << "no deadline expired mid-layer";
 }
 
 // --------------------------------------------------- cuboid visit order

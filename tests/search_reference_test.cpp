@@ -1,16 +1,16 @@
 // Differential test of Algorithm 2's key-space merge.  Production prunes
 // by probing a group's representative row against per-row bitsets of
 // accepted-cuboid slots and tests early-stop coverage by comparing row
-// keys.  The reference below keeps the combination-level definition
-// instead: Criteria 3 as "some accepted combination isAncestorOf the
-// group", coverage as matchesLeaf, groups from LeafTable::groupBy.  Both
-// must agree bit for bit — patterns, confidences, layers and every
+// keys.  The reference (search_reference.h) keeps the combination-level
+// definition instead: Criteria 3 as "some accepted combination
+// isAncestorOf the group", coverage as matchesLeaf, groups from
+// LeafTable::groupBy.  Both must agree bit for bit — patterns,
+// confidences, layers and every
 // search-effort counter — across random schemas, RAPMD cases, thread
 // counts, cuboid orders, early stop and layer caps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "dataset/cuboid.h"
 #include "detect/detector.h"
 #include "gen/rapmd.h"
+#include "search_reference.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -26,114 +27,14 @@ namespace rap {
 namespace {
 
 using core::CuboidOrder;
-using core::LayerSearchStats;
-using core::ScoredPattern;
 using core::SearchConfig;
 using core::SearchStats;
 using dataset::AttrId;
 using dataset::AttributeCombination;
 using dataset::LeafTable;
 using dataset::Schema;
-
-/// Algorithm 2 with the merge written from the definitions.  Only the
-/// layer cap among the degraded exits is modelled (no deadline, no
-/// faults in these runs).
-std::vector<ScoredPattern> referenceSearch(const LeafTable& table,
-                                           const std::vector<AttrId>& kept,
-                                           const SearchConfig& config,
-                                           SearchStats& stats) {
-  std::vector<ScoredPattern> candidates;
-  std::vector<AttributeCombination> accepted;
-  std::vector<dataset::RowId> uncovered;
-  if (config.early_stop) uncovered = table.anomalousRows();
-  const auto flush = [&stats](const LayerSearchStats& layer) {
-    stats.cuboids_visited += layer.cuboids_visited;
-    stats.combinations_evaluated += layer.combinations_evaluated;
-    stats.combinations_pruned += layer.combinations_pruned;
-    stats.candidates_found += layer.candidates_found;
-    stats.layers.push_back(layer);
-  };
-  const auto max_layer = static_cast<std::int32_t>(kept.size());
-  for (std::int32_t layer = 1; layer <= max_layer; ++layer) {
-    if (config.max_layers > 0 && layer > config.max_layers) {
-      stats.degraded_reason = "layer-cap";
-      return candidates;
-    }
-    LayerSearchStats layer_stats;
-    layer_stats.layer = layer;
-    for (const auto mask : core::orderedCuboids(kept, layer, config.order)) {
-      layer_stats.cuboids_visited += 1;
-      for (const auto& group : table.groupBy(mask)) {
-        const bool pruned =
-            std::any_of(accepted.begin(), accepted.end(),
-                        [&group](const AttributeCombination& ac) {
-                          return ac.isAncestorOf(group.ac);
-                        });
-        if (pruned) {
-          layer_stats.combinations_pruned += 1;
-          continue;
-        }
-        layer_stats.combinations_evaluated += 1;
-        const double confidence = group.confidence();
-        if (confidence <= config.t_conf) continue;
-        ScoredPattern pattern;
-        pattern.ac = group.ac;
-        pattern.confidence = confidence;
-        pattern.layer = layer;
-        candidates.push_back(pattern);
-        accepted.push_back(group.ac);
-        layer_stats.candidates_found += 1;
-        if (!config.early_stop) continue;
-        std::erase_if(uncovered, [&](dataset::RowId id) {
-          return group.ac.matchesLeaf(table.row(id).ac);
-        });
-        if (uncovered.empty()) {
-          stats.early_stopped = true;
-          flush(layer_stats);
-          return candidates;
-        }
-      }
-    }
-    flush(layer_stats);
-  }
-  return candidates;
-}
-
-/// Bitwise equality of two searches.  search_threads and the wall times
-/// describe the schedule, not the result, and are left out.
-void expectSame(const std::vector<ScoredPattern>& expected,
-                const SearchStats& expected_stats,
-                const std::vector<ScoredPattern>& actual,
-                const SearchStats& actual_stats) {
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].ac, actual[i].ac) << "i=" << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[i].confidence),
-              std::bit_cast<std::uint64_t>(actual[i].confidence))
-        << "i=" << i;
-    EXPECT_EQ(expected[i].layer, actual[i].layer) << "i=" << i;
-  }
-  EXPECT_EQ(expected_stats.cuboids_visited, actual_stats.cuboids_visited);
-  EXPECT_EQ(expected_stats.combinations_evaluated,
-            actual_stats.combinations_evaluated);
-  EXPECT_EQ(expected_stats.combinations_pruned,
-            actual_stats.combinations_pruned);
-  EXPECT_EQ(expected_stats.candidates_found, actual_stats.candidates_found);
-  EXPECT_EQ(expected_stats.early_stopped, actual_stats.early_stopped);
-  EXPECT_EQ(expected_stats.degraded_reason, actual_stats.degraded_reason);
-  ASSERT_EQ(expected_stats.layers.size(), actual_stats.layers.size());
-  for (std::size_t i = 0; i < expected_stats.layers.size(); ++i) {
-    const auto& a = expected_stats.layers[i];
-    const auto& b = actual_stats.layers[i];
-    EXPECT_EQ(a.layer, b.layer);
-    EXPECT_EQ(a.cuboids_visited, b.cuboids_visited) << "layer " << a.layer;
-    EXPECT_EQ(a.combinations_evaluated, b.combinations_evaluated)
-        << "layer " << a.layer;
-    EXPECT_EQ(a.combinations_pruned, b.combinations_pruned)
-        << "layer " << a.layer;
-    EXPECT_EQ(a.candidates_found, b.candidates_found) << "layer " << a.layer;
-  }
-}
+using test::expectSame;
+using test::referenceSearch;
 
 /// Runs production against the reference over the whole settings grid:
 /// threads 1/2/4 x both cuboid orders x early stop on/off x layer caps.

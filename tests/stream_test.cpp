@@ -547,7 +547,9 @@ TEST(StreamEngine, InvalidEventsAreQuarantinedWithReasons) {
 // ---------------------------------------------------------------------------
 // Engine: stream-vs-batch localization equivalence.
 
-TEST(StreamEngine, LocalizationMatchesBatchPipeline) {
+/// Streams three RAPMD cases, one per window, and checks each window's
+/// localization against the batch detector + serial miner on its table.
+void expectLocalizationsMatchBatch(std::size_t localize_threads) {
   const auto schema = dataset::Schema::synthetic({6, 5, 4});
   gen::RapmdConfig gen_config;
   gen_config.num_cases = 3;
@@ -560,15 +562,16 @@ TEST(StreamEngine, LocalizationMatchesBatchPipeline) {
   config.allowed_lateness = 1000000;  // reordering must not drop anything
   config.trigger = TriggerPolicy::kAnomalousWindow;
   config.detect_threshold = 0.095;
+  config.localize_threads = localize_threads;
   StreamEngine engine(schema, config);
   engine.start();
 
   // One case per window; the batch reference runs the same detector +
-  // miner on each case's table directly.
+  // serial miner on each case's table directly.
   std::vector<StreamEvent> events;
   std::vector<std::multiset<std::vector<dataset::ElemId>>> expected;
   const detect::RelativeDeviationDetector detector(config.detect_threshold);
-  const core::RapMiner miner(config.miner);
+  const core::RapMiner miner;
   for (std::int32_t i = 0; i < gen_config.num_cases; ++i) {
     gen::Case c = generator.generateCase(i);
     dataset::LeafTable batch_table = c.table;
@@ -607,7 +610,23 @@ TEST(StreamEngine, LocalizationMatchesBatchPipeline) {
       got.insert(p.ac.slots());
     }
     EXPECT_EQ(got, expected[i]) << "window " << i;
+    // The search fans out on the localize pool's idle workers: the
+    // localization's own task holds one of them.
+    EXPECT_GE(localizations[i].result.stats.search_threads, 1) << i;
+    EXPECT_LE(localizations[i].result.stats.search_threads,
+              static_cast<std::int32_t>(localize_threads))
+        << "window " << i;
   }
+}
+
+TEST(StreamEngine, LocalizationMatchesBatchPipeline) {
+  expectLocalizationsMatchBatch(/*localize_threads=*/2);
+}
+
+TEST(StreamEngine, SingleLocalizeWorkerSearchesSerially) {
+  // The only localize worker runs the localization itself, so its search
+  // finds no idle worker to fan out on and stays serial.
+  expectLocalizationsMatchBatch(/*localize_threads=*/1);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "dataset/schema.h"
 #include "detect/detector.h"
 #include "fault/fault.h"
+#include "gen/rapmd.h"
 #include "io/csv.h"
 #include "io/json.h"
 #include "obs/metrics.h"
@@ -39,6 +43,8 @@
 #include "svc/tenant_config.h"
 #include "stream/engine.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace rap {
 namespace {
@@ -289,7 +295,11 @@ svc::JobRequest demoJob(std::uint64_t cache_key = 0) {
 }
 
 TEST(JobManager, ExecutesQueuedJobsToCompletion) {
-  svc::JobManager manager({.queue_capacity = 8, .workers = 2});
+  svc::JobManager manager({.queue_capacity = 8,
+                           .workers = 2,
+                           .metric_labels = {},
+                           .overload = {},
+                           .on_terminal = {}});
   const auto id = manager.submit(demoJob());
   ASSERT_TRUE(id.isOk()) << id.status().toString();
   manager.drain();
@@ -304,7 +314,11 @@ TEST(JobManager, ExecutesQueuedJobsToCompletion) {
 }
 
 TEST(JobManager, ShedsLoadWhenTheQueueIsFull) {
-  svc::JobManager manager({.queue_capacity = 2, .workers = 1});
+  svc::JobManager manager({.queue_capacity = 2,
+                           .workers = 1,
+                           .metric_labels = {},
+                           .overload = {},
+                           .on_terminal = {}});
   manager.pause();  // workers idle: the queue fills deterministically
   ASSERT_TRUE(manager.submit(demoJob()).isOk());
   ASSERT_TRUE(manager.submit(demoJob()).isOk());
@@ -323,7 +337,11 @@ TEST(JobManager, ShedsLoadWhenTheQueueIsFull) {
 }
 
 TEST(JobManager, FailsJobsWithInvalidConfigInsteadOfAborting) {
-  svc::JobManager manager({.queue_capacity = 4, .workers = 1});
+  svc::JobManager manager({.queue_capacity = 4,
+                           .workers = 1,
+                           .metric_labels = {},
+                           .overload = {},
+                           .on_terminal = {}});
   auto request = demoJob();
   request.miner.search.t_conf = 42.0;  // out of range: Builder rejects
   const auto id = manager.submit(std::move(request));
@@ -337,7 +355,12 @@ TEST(JobManager, FailsJobsWithInvalidConfigInsteadOfAborting) {
 
 TEST(JobManager, ServesIdenticalResubmissionsFromTheCache) {
   svc::ResultCache cache({.capacity = 8, .ttl_seconds = 0.0});
-  svc::JobManager manager({.queue_capacity = 8, .workers = 1}, &cache);
+  svc::JobManager manager({.queue_capacity = 8,
+                           .workers = 1,
+                           .metric_labels = {},
+                           .overload = {},
+                           .on_terminal = {}},
+                          &cache);
 
   const auto first = manager.executeInline(demoJob(/*cache_key=*/77));
   ASSERT_TRUE(first.isOk()) << first.status().toString();
@@ -357,6 +380,165 @@ TEST(JobManager, ServesIdenticalResubmissionsFromTheCache) {
   EXPECT_EQ(status->state, svc::JobState::kDone);
   EXPECT_TRUE(status->cache_hit);
   EXPECT_EQ(status->result_json, *first);
+}
+
+/// The "patterns" member of a result document: everything before
+/// "stats", whose wall times differ run to run.
+std::string patternsPart(const std::string& json) {
+  return json.substr(0, json.find("\"stats\""));
+}
+
+TEST(JobManager, SearchFansOutOnTheSharedPool) {
+  // Sync requests run on the caller's thread and fan Algorithm 2 out on
+  // the shared pool; queued jobs run on that pool and fan out on it too.
+  // Every attribute kept: layer 1 has 4 cuboids, enough for both
+  // workers, so the stats report 2 helpers + the caller.
+  util::ThreadPool pool(2);
+  svc::JobManager manager({.queue_capacity = 8,
+                           .workers = 2,
+                           .metric_labels = {},
+                           .shared_pool = &pool,
+                           .overload = {},
+                           .on_terminal = {}});
+  gen::RapmdConfig rapmd;
+  rapmd.num_cases = 2;
+  const auto cases =
+      gen::RapmdGenerator(dataset::Schema::cdn(), rapmd, 4242).generate();
+  const auto job = [&](std::size_t i) {
+    svc::JobRequest request(cases[i].table);
+    request.miner.cp.enable_attribute_deletion = false;
+    return request;
+  };
+  std::vector<std::string> serial;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const svc::JobRequest request = job(i);
+    serial.push_back(io::resultToJson(
+        request.table.schema(),
+        core::RapMiner(request.miner).localize(request.table, request.k)));
+  }
+
+  const auto sync = manager.executeInline(job(0));
+  ASSERT_TRUE(sync.isOk()) << sync.status().toString();
+  EXPECT_EQ(patternsPart(*sync), patternsPart(serial[0]));
+  EXPECT_NE(sync->find("\"search_threads\":3"), std::string::npos) << *sync;
+
+  // Two sync requests at once on the 2-worker pool (TSan case).
+  std::vector<std::string> concurrent(cases.size());
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    callers.emplace_back([&, i] {
+      const auto result = manager.executeInline(job(i));
+      if (result.isOk()) concurrent[i] = *result;
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(patternsPart(concurrent[i]), patternsPart(serial[i])) << i;
+  }
+
+  // Queued jobs run on the pool they fan out on: each search takes only
+  // workers the other job leaves idle, so both finish.
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto id = manager.submit(job(i));
+    ASSERT_TRUE(id.isOk()) << id.status().toString();
+    ids.push_back(*id);
+  }
+  manager.drain();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto status = manager.status(ids[i]);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, svc::JobState::kDone);
+    EXPECT_EQ(patternsPart(status->result_json), patternsPart(serial[i])) << i;
+  }
+}
+
+/// A labeled table of `rows` random leaves over `attributes` attributes
+/// of 4 elements each; a leaf is anomalous iff its first two attributes
+/// read (0, 1).
+dataset::LeafTable randomWideTable(std::int32_t attributes, std::size_t rows) {
+  const auto schema = dataset::Schema::synthetic(
+      std::vector<std::int32_t>(static_cast<std::size_t>(attributes), 4));
+  dataset::LeafTable table(schema);
+  table.reserve(rows);
+  std::mt19937_64 rng(2024);
+  std::vector<dataset::ElemId> slots(static_cast<std::size_t>(attributes));
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (auto& slot : slots) slot = static_cast<dataset::ElemId>(rng() % 4);
+    const bool anomalous = slots[0] == 0 && slots[1] == 1;
+    table.addRow(dataset::AttributeCombination(slots),
+                 anomalous ? 40.0 : 100.0, 100.0, anomalous);
+  }
+  return table;
+}
+
+/// Wall time of the longest search layer in a result document.
+double longestLayerSeconds(const std::string& json) {
+  const auto doc = svc::JsonValue::parse(json);
+  if (!doc.isOk()) return 0.0;
+  const svc::JsonValue* stats = doc->find("stats");
+  const svc::JsonValue* layers = stats != nullptr ? stats->find("layers")
+                                                  : nullptr;
+  double longest = 0.0;
+  if (layers == nullptr) return longest;
+  for (const auto& layer : layers->array_value) {
+    if (const auto* seconds = layer.find("seconds")) {
+      longest = std::max(longest, seconds->number_value);
+    }
+  }
+  return longest;
+}
+
+TEST(JobManager, SearchHelpersStepAsideForAnotherTenantsJob) {
+  // Tenant A (quota max_active = 1) sends a sync request whose search
+  // borrows the idle workers of the shared pool for its helpers;
+  // meanwhile tenant B queues small jobs on that pool, one every
+  // millisecond.  A's helpers hand a worker back after their current
+  // cuboid (under a millisecond here), so none of B's jobs waits for the
+  // end of one of A's layers (layer 4 alone is 495 cuboids).
+  util::ThreadPool pool(2);
+  svc::JobManager tenant_a({.queue_capacity = 8,
+                            .workers = 2,
+                            .retry_after_seconds = 1.0,
+                            .max_finished_jobs = 256,
+                            .max_active = 1,
+                            .metric_labels = {},
+                            .shared_pool = &pool,
+                            .overload = {},
+                            .on_terminal = {}});
+  svc::JobManager tenant_b({.queue_capacity = 8,
+                            .workers = 2,
+                            .metric_labels = {},
+                            .shared_pool = &pool,
+                            .overload = {},
+                            .on_terminal = {}});
+  svc::JobRequest wide(randomWideTable(12, 150000));
+  wide.miner.cp.enable_attribute_deletion = false;
+  wide.miner.search.early_stop = false;
+  wide.miner.search.max_layers = 4;
+
+  auto a = std::async(std::launch::async,
+                      [&tenant_a, &wide] { return tenant_a.executeInline(wide); });
+  std::vector<double> b_seconds;
+  while (a.wait_for(std::chrono::milliseconds(1)) !=
+         std::future_status::ready) {
+    const util::WallTimer b_timer;
+    ASSERT_TRUE(tenant_b.submit(demoJob()).isOk());
+    tenant_b.drain();
+    b_seconds.push_back(b_timer.elapsedSeconds());
+  }
+  const auto a_result = a.get();
+  ASSERT_TRUE(a_result.isOk()) << a_result.status().toString();
+  const double longest_layer = longestLayerSeconds(*a_result);
+  ASSERT_GE(b_seconds.size(), 10u)
+      << "A's search ended before B could queue ten jobs";
+  // A job that waited for the end of one of A's layers would wait for a
+  // good part of it; one that waits for a single cuboid stays far below.
+  const double b_longest =
+      *std::max_element(b_seconds.begin(), b_seconds.end());
+  EXPECT_LT(b_longest, longest_layer / 4)
+      << b_seconds.size() << " jobs of B, the slowest " << b_longest
+      << " s; A's longest layer " << longest_layer << " s";
 }
 
 // ---------------------------------------------------------------------------
@@ -903,7 +1085,8 @@ TEST(OverloadGuard, ShedsOnlyAfterSustainedQueueDelay) {
 TEST(CircuitBreaker, ClosedOpenHalfOpenLifecycle) {
   svc::CircuitBreaker breaker({.failure_threshold = 3,
                                .open_seconds = 5.0,
-                               .half_open_probes = 2});
+                               .half_open_probes = 2,
+                               .metric_labels = {}});
   ASSERT_TRUE(breaker.enabled());
   const auto t0 = svc::CircuitBreaker::Clock::now();
   const auto at = [&](double s) {
